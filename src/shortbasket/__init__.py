@@ -11,7 +11,6 @@ direction changes.
 from .config import RunConfig, load_run_config
 from .datastore import (
     LendingDataset,
-    LendingObservation,
     SecurityProfile,
     SecuritySeries,
     export_csv,
@@ -56,7 +55,6 @@ __all__ = [
     "FoldedNormalParams",
     "GbmParams",
     "LendingDataset",
-    "LendingObservation",
     "NoiseStream",
     "PathStats",
     "PortfolioAllocation",

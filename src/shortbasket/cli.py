@@ -72,7 +72,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     obs_path, prof_path = export_csv(dataset, out_dir)
     atomic_write_text(out_dir / CONFIG_ECHO_FILENAME, resolved_config_json(cfg))
-    print(f"wrote {obs_path} ({len(dataset.series)} securities x {len(dataset.series[0])} days)")
+    print(f"wrote {obs_path} ({len(dataset.security_ids)} securities x {len(dataset.dates)} days)")
     print(f"wrote {prof_path}")
     return 0
 
@@ -128,9 +128,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
     kept, excluded = screener.apply_filters(rows, profiles, filter_cfg)
     ranked = screener.rank(kept, args.score, drop_pct)
-    full = screener.rank(kept, args.score, 0.0)
     surviving = {r.security_id for r in ranked}
-    dropped = [r for r in full if r.security_id not in surviving]
+    dropped = [r for r in kept if r.security_id not in surviving]
 
     out_dir = Path(args.out)
     _write_rows(
@@ -197,9 +196,8 @@ def cmd_diagnose_vol(args: argparse.Namespace) -> int:
 
 def cmd_ingest_check(args: argparse.Namespace) -> int:
     dataset = ingest_csv(args.data)
-    n_obs = sum(len(s) for s in dataset.series)
     print(
-        f"ok: {len(dataset.series)} securities, {n_obs} observations, "
+        f"ok: {len(dataset.security_ids)} securities, {dataset.values[0].size} observations, "
         f"{len(dataset.profiles)} profiles"
     )
     return 0

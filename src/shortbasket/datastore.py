@@ -1,9 +1,9 @@
-"""Lending dataset records and deterministic CSV interchange.
+"""Lending dataset and deterministic CSV interchange.
 
-A dataset is one observations table (one row per security per trading
-day) plus one static profile table, joined on ``security_id``. Simulated
-and broker-sourced data flow through the same loader so the scoring
-pipeline never knows which one it got.
+A dataset is a security x day panel of the seven lending variables on
+one trading calendar that every security shares, plus one static profile
+per security. Simulated and broker-sourced data flow through the same
+loader so the scoring pipeline never knows which one it got.
 
 CSV schemas
 -----------
@@ -17,7 +17,11 @@ profiles.csv::
 
 Dates are ISO-8601, decimals use ``.``. Floats are written with
 ``repr()`` so values round-trip exactly and identical datasets always
-produce identical bytes. Rows are ordered by (security_id, date).
+produce identical bytes. Export orders rows by (security_id, date).
+Ingest accepts the rows in any order of securities, date-major desk
+files included, provided each security's dates are strictly increasing
+and every security has the same dates. Non-finite values (``nan``,
+``inf``) are rejected with their file, row and column.
 """
 
 from __future__ import annotations
@@ -25,19 +29,23 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import math
 import os
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import OrderError, SchemaError
 
 OBSERVATIONS_FILENAME = "observations.csv"
 PROFILES_FILENAME = "profiles.csv"
 
-OBSERVATION_COLUMNS = (
-    "date",
-    "security_id",
+# Stable variable order: the panel's first axis, the CSV columns after
+# (date, security_id), and the simulator's substream ids all follow it.
+VARIABLES = (
     "price",
     "availability",
     "short_interest",
@@ -46,42 +54,11 @@ OBSERVATION_COLUMNS = (
     "loan_rate",
     "alt_loan_rate",
 )
+_VARIABLE_INDEX = {name: v for v, name in enumerate(VARIABLES)}
+_PRICE, _LOAN_RATE, _ALT_LOAN_RATE = map(VARIABLES.index, ("price", "loan_rate", "alt_loan_rate"))
+
+OBSERVATION_COLUMNS = ("date", "security_id", *VARIABLES)
 PROFILE_COLUMNS = ("security_id", "market", "buy_rating", "beta")
-
-
-@dataclass(frozen=True)
-class LendingObservation:
-    """One security-day record from a lending desk.
-
-    Shares are stored for quantities (availability, short interest,
-    volume); USD views such as SI * price are derived downstream. Rates
-    are annualized fractions. The alternate loan rate (charged to end
-    borrowers) is never below the sourcing loan rate.
-    """
-
-    date: dt.date
-    security_id: str
-    price: float
-    availability: float
-    short_interest: float
-    volume: float
-    loan_balance: float
-    loan_rate: float
-    alt_loan_rate: float
-
-    def __post_init__(self) -> None:
-        if self.price <= 0:
-            raise ValueError(f"price must be positive, got {self.price} ({self.security_id} {self.date})")
-        for name in ("availability", "short_interest", "volume", "loan_balance", "loan_rate"):
-            if getattr(self, name) < 0:
-                raise ValueError(
-                    f"{name} must be non-negative, got {getattr(self, name)} ({self.security_id} {self.date})"
-                )
-        if self.alt_loan_rate < self.loan_rate:
-            raise ValueError(
-                f"alt_loan_rate {self.alt_loan_rate} < loan_rate {self.loan_rate} "
-                f"({self.security_id} {self.date})"
-            )
 
 
 @dataclass(frozen=True)
@@ -96,79 +73,111 @@ class SecurityProfile:
     def __post_init__(self) -> None:
         if not 1.0 <= self.buy_rating <= 5.0:
             raise ValueError(f"buy_rating must be in [1, 5], got {self.buy_rating} ({self.security_id})")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta} ({self.security_id})")
 
 
-@dataclass(frozen=True)
-class SecuritySeries:
-    """Gap-free, date-sorted observation history for one security."""
-
-    security_id: str
-    observations: tuple[LendingObservation, ...]
-
-    def __post_init__(self) -> None:
-        prev: dt.date | None = None
-        for obs in self.observations:
-            if obs.security_id != self.security_id:
-                raise ValueError(
-                    f"observation for {obs.security_id} placed in series {self.security_id}"
-                )
-            if prev is not None and obs.date <= prev:
-                raise OrderError(
-                    f"dates must be strictly increasing for {self.security_id}: "
-                    f"{obs.date} follows {prev}"
-                )
-            prev = obs.date
-
-    def __len__(self) -> int:
-        return len(self.observations)
-
-    @property
-    def dates(self) -> list[dt.date]:
-        return [obs.date for obs in self.observations]
-
-    def column(self, name: str) -> list[float]:
-        """Values of one numeric field across the series, in date order."""
-        return [getattr(obs, name) for obs in self.observations]
+def _first_invalid(values: np.ndarray) -> tuple[int, int, int, str] | None:
+    """``(variable, security, day, reason)`` of the first invalid panel value, or None."""
+    non_positive = np.zeros(values.shape, dtype=bool)
+    non_positive[_PRICE] = values[_PRICE] <= 0
+    below_rate = np.zeros(values.shape, dtype=bool)
+    below_rate[_ALT_LOAN_RATE] = values[_ALT_LOAN_RATE] < values[_LOAN_RATE]
+    for bad, reason in (
+        (~np.isfinite(values), "is not finite"),
+        (non_positive, "must be positive"),
+        (values < 0, "must be non-negative"),
+        (below_rate, "is below loan_rate"),
+    ):
+        if bad.any():
+            v, i, t = np.unravel_index(bad.argmax(), bad.shape)
+            return int(v), int(i), int(t), reason
+    return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LendingDataset:
-    """All series plus profiles; immutable once built, ordered by id."""
+    """Security x day panel of the lending variables on one shared calendar.
 
-    series: tuple[SecuritySeries, ...]
+    ``values[v, i, t]`` is variable ``VARIABLES[v]`` of security
+    ``security_ids[i]`` on ``dates[t]``. Shares are stored for quantities
+    (availability, short interest, volume); USD views such as SI * price
+    are derived downstream. Rates are annualized fractions.
+
+    Every value is finite, prices are positive and the rest non-negative,
+    and the alternate loan rate (charged to end borrowers) is never below
+    the sourcing loan rate. Ids are sorted and unique, dates strictly
+    increasing, and ``profiles`` holds one profile per id, in id order.
+    The dataset takes ownership of ``values`` and makes it read-only.
+    """
+
+    dates: tuple[dt.date, ...]
+    security_ids: tuple[str, ...]
+    values: np.ndarray = field(repr=False)
     profiles: tuple[SecurityProfile, ...]
 
     def __post_init__(self) -> None:
-        series_ids = [s.security_id for s in self.series]
-        profile_ids = [p.security_id for p in self.profiles]
-        if series_ids != sorted(series_ids) or profile_ids != sorted(profile_ids):
-            raise ValueError("dataset series and profiles must be sorted by security_id")
-        if set(series_ids) != set(profile_ids):
-            missing = sorted(set(series_ids) ^ set(profile_ids))
-            raise SchemaError(f"series and profiles do not cover the same securities: {missing}")
+        shape = (len(VARIABLES), len(self.security_ids), len(self.dates))
+        if self.values.shape != shape:
+            raise ValueError(f"values must have shape {shape}, got {self.values.shape}")
+        for prev, date in zip(self.dates, self.dates[1:]):
+            if date <= prev:
+                raise OrderError(f"dates must be strictly increasing: {date} follows {prev}")
+        if list(self.security_ids) != sorted(set(self.security_ids)):
+            raise ValueError("security ids must be sorted and unique")
+        profile_ids = tuple(p.security_id for p in self.profiles)
+        if profile_ids != self.security_ids:
+            unmatched = sorted(set(self.security_ids) ^ set(profile_ids))
+            raise SchemaError(
+                f"series and profiles do not cover the same securities one to one, in id order: "
+                f"{unmatched}"
+            )
+        invalid = _first_invalid(self.values)
+        if invalid is not None:
+            v, i, t, reason = invalid
+            raise ValueError(
+                f"{VARIABLES[v]} {reason}, got {self.values[v, i, t]} "
+                f"({self.security_ids[i]} {self.dates[t]})"
+            )
+        self.values.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LendingDataset):
+            return NotImplemented
+        return (
+            self.dates == other.dates
+            and self.security_ids == other.security_ids
+            and self.profiles == other.profiles
+            and np.array_equal(self.values, other.values)
+        )
 
     @property
-    def security_ids(self) -> list[str]:
-        return [s.security_id for s in self.series]
-
-    def profile_map(self) -> dict[str, SecurityProfile]:
-        return {p.security_id: p for p in self.profiles}
-
-    def get_series(self, security_id: str) -> SecuritySeries:
-        for s in self.series:
-            if s.security_id == security_id:
-                return s
-        raise KeyError(security_id)
+    def series(self) -> tuple[SecuritySeries, ...]:
+        """One view per security, in id order."""
+        return tuple(SecuritySeries(self, i) for i in range(len(self.security_ids)))
 
 
-def build_dataset(
-    series: Iterable[SecuritySeries], profiles: Iterable[SecurityProfile]
-) -> LendingDataset:
-    """Assemble a dataset, sorting both tables by security_id."""
-    return LendingDataset(
-        series=tuple(sorted(series, key=lambda s: s.security_id)),
-        profiles=tuple(sorted(profiles, key=lambda p: p.security_id)),
-    )
+@dataclass(frozen=True, eq=False)
+class SecuritySeries:
+    """One security's history: a view of row ``index`` of a dataset, holding no copy."""
+
+    dataset: LendingDataset = field(repr=False)
+    index: int
+
+    @property
+    def security_id(self) -> str:
+        return self.dataset.security_ids[self.index]
+
+    @property
+    def dates(self) -> tuple[dt.date, ...]:
+        return self.dataset.dates
+
+    def __len__(self) -> int:
+        return len(self.dataset.dates)
+
+    def column(self, name: str) -> np.ndarray:
+        """Read-only values of one variable across the series, in date order."""
+        return self.dataset.values[_VARIABLE_INDEX[name], self.index]
 
 
 def _fmt(value: float) -> str:
@@ -193,24 +202,13 @@ def export_csv(dataset: LendingDataset, out_dir: Path | str) -> tuple[Path, Path
     so equal datasets serialize to identical bytes.
     """
     out_dir = Path(out_dir)
+    iso_dates = [d.isoformat() for d in dataset.dates]
     obs_buf = io.StringIO()
     writer = csv.writer(obs_buf, lineterminator="\n")
     writer.writerow(OBSERVATION_COLUMNS)
-    for series in dataset.series:
-        for obs in series.observations:
-            writer.writerow(
-                [
-                    obs.date.isoformat(),
-                    obs.security_id,
-                    _fmt(obs.price),
-                    _fmt(obs.availability),
-                    _fmt(obs.short_interest),
-                    _fmt(obs.volume),
-                    _fmt(obs.loan_balance),
-                    _fmt(obs.loan_rate),
-                    _fmt(obs.alt_loan_rate),
-                ]
-            )
+    for i, security_id in enumerate(dataset.security_ids):
+        days = dataset.values[:, i].T.tolist()
+        writer.writerows([date, security_id, *map(repr, day)] for date, day in zip(iso_dates, days))
 
     prof_buf = io.StringIO()
     writer = csv.writer(prof_buf, lineterminator="\n")
@@ -225,9 +223,8 @@ def export_csv(dataset: LendingDataset, out_dir: Path | str) -> tuple[Path, Path
     return obs_path, prof_path
 
 
-def _check_header(reader: csv.DictReader, expected: Sequence[str], path: Path) -> None:
-    got = tuple(reader.fieldnames or ())
-    if got != tuple(expected):
+def _check_header(got: Sequence[str], expected: Sequence[str], path: Path) -> None:
+    if tuple(got) != tuple(expected):
         missing = [c for c in expected if c not in got]
         extra = [c for c in got if c not in expected]
         raise SchemaError(
@@ -236,11 +233,38 @@ def _check_header(reader: csv.DictReader, expected: Sequence[str], path: Path) -
         )
 
 
+def _records(reader: Iterator[list[str]], columns: Sequence[str], path: Path) -> Iterator:
+    """``(line, row)`` of each non-blank record after the checked header."""
+    _check_header(next(reader, []), columns, path)
+    for line, row in enumerate(filter(None, reader), start=2):
+        if len(row) != len(columns):
+            raise SchemaError(f"{path}: row {line}: wrong number of fields")
+        yield line, row
+
+
 def _parse_float(raw: str, column: str, path: Path, line: int) -> float:
     try:
         return float(raw)
     except ValueError as exc:
         raise ValueError(f"{path}: row {line}: column {column!r} is not numeric: {raw!r}") from exc
+
+
+def load_profiles(path: Path | str) -> dict[str, SecurityProfile]:
+    """Read and validate a profiles.csv into an id-keyed mapping, in file order."""
+    path = Path(path)
+    profiles: dict[str, SecurityProfile] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = _records(csv.reader(fh), PROFILE_COLUMNS, path)
+        for line, (security_id, market, buy_rating, beta) in records:
+            if security_id in profiles:
+                raise SchemaError(f"{path}: row {line}: duplicate profile for {security_id}")
+            buy_rating = _parse_float(buy_rating, "buy_rating", path, line)
+            beta = _parse_float(beta, "beta", path, line)
+            try:
+                profiles[security_id] = SecurityProfile(security_id, market, buy_rating, beta)
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {line}: {exc}") from None
+    return profiles
 
 
 def ingest_csv(data_dir: Path | str) -> LendingDataset:
@@ -257,69 +281,73 @@ def ingest_csv(data_dir: Path | str) -> LendingDataset:
         if not p.exists():
             raise SchemaError(f"missing input file: {p}")
 
-    per_security: dict[str, list[LendingObservation]] = {}
+    # One pass over the file into flat buffers: a code per distinct date
+    # and id string, and the seven values of each row.
+    date_codes: dict[str, int] = {}
+    id_codes: dict[str, int] = {}
+    row_dates, row_ids, cells = array("q"), array("q"), array("d")
     with open(obs_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader, OBSERVATION_COLUMNS, obs_path)
-        for line, row in enumerate(reader, start=2):
-            if any(row.get(c) is None for c in OBSERVATION_COLUMNS):
-                raise SchemaError(f"{obs_path}: row {line}: wrong number of fields")
+        for line, row in _records(csv.reader(fh), OBSERVATION_COLUMNS, obs_path):
+            row_dates.append(date_codes.setdefault(row[0], len(date_codes)))
+            row_ids.append(id_codes.setdefault(row[1], len(id_codes)))
             try:
-                date = dt.date.fromisoformat(row["date"])
-            except ValueError as exc:
-                raise ValueError(f"{obs_path}: row {line}: bad date {row['date']!r}") from exc
-            values = {c: _parse_float(row[c], c, obs_path, line) for c in OBSERVATION_COLUMNS[2:]}
-            try:
-                obs = LendingObservation(date=date, security_id=row["security_id"], **values)
-            except ValueError as exc:
-                raise ValueError(f"{obs_path}: row {line}: {exc}") from None
-            per_security.setdefault(obs.security_id, []).append(obs)
+                cells.extend(map(float, row[2:]))
+            except ValueError:
+                for column, raw in zip(VARIABLES, row[2:]):
+                    _parse_float(raw, column, obs_path, line)
 
-    series = []
-    for security_id, observations in per_security.items():
+    ordinals = []
+    for code, raw in enumerate(date_codes):
         try:
-            series.append(SecuritySeries(security_id, tuple(observations)))
-        except OrderError as exc:
-            raise OrderError(f"{obs_path}: {exc}") from None
+            ordinals.append(dt.date.fromisoformat(raw).toordinal())
+        except ValueError as exc:
+            line = row_dates.index(code) + 2
+            raise ValueError(f"{obs_path}: row {line}: bad date {raw!r}") from exc
 
-    profiles = []
-    seen: set[str] = set()
-    with open(prof_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader, PROFILE_COLUMNS, prof_path)
-        for line, row in enumerate(reader, start=2):
-            if any(row.get(c) is None for c in PROFILE_COLUMNS):
-                raise SchemaError(f"{prof_path}: row {line}: wrong number of fields")
-            if row["security_id"] in seen:
-                raise SchemaError(f"{prof_path}: row {line}: duplicate profile for {row['security_id']}")
-            seen.add(row["security_id"])
-            try:
-                profiles.append(
-                    SecurityProfile(
-                        security_id=row["security_id"],
-                        market=row["market"],
-                        buy_rating=_parse_float(row["buy_rating"], "buy_rating", prof_path, line),
-                        beta=_parse_float(row["beta"], "beta", prof_path, line),
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{prof_path}: row {line}: {exc}") from None
-
-    return build_dataset(series, profiles)
-
-
-def load_profiles(path: Path | str) -> Mapping[str, SecurityProfile]:
-    """Read a standalone profiles.csv into an id-keyed mapping."""
-    path = Path(path)
-    profiles: dict[str, SecurityProfile] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader, PROFILE_COLUMNS, path)
-        for line, row in enumerate(reader, start=2):
-            profiles[row["security_id"]] = SecurityProfile(
-                security_id=row["security_id"],
-                market=row["market"],
-                buy_rating=_parse_float(row["buy_rating"], "buy_rating", path, line),
-                beta=_parse_float(row["beta"], "beta", path, line),
+    # Group the rows by security in id order, keeping file order within
+    # each security, then require one strictly increasing calendar.
+    security_ids = tuple(sorted(id_codes))
+    position = {security_id: k for k, security_id in enumerate(security_ids)}
+    security_of_code = np.array([position[s] for s in id_codes], dtype=np.intp)
+    security_of_row = security_of_code[np.asarray(row_ids, dtype=np.intp)]
+    rows = np.argsort(security_of_row, kind="stable")
+    day_of_row = np.asarray(ordinals, dtype=np.int64)[np.asarray(row_dates, dtype=np.intp)][rows]
+    bounds = np.cumsum(np.bincount(security_of_row, minlength=len(security_ids)))
+    calendar = day_of_row[: bounds[0]] if security_ids else day_of_row
+    for security_id, days in zip(security_ids, np.split(day_of_row, bounds[:-1])):
+        regress = np.flatnonzero(np.diff(days) <= 0)
+        if regress.size:
+            k = regress[0]
+            raise OrderError(
+                f"{obs_path}: dates must be strictly increasing for {security_id}: "
+                f"{dt.date.fromordinal(days[k + 1])} follows {dt.date.fromordinal(days[k])}"
             )
-    return profiles
+        if not np.array_equal(days, calendar):
+            own, ref = days.tolist(), calendar.tolist()
+            k = 0
+            while k < len(own) and k < len(ref) and own[k] == ref[k]:
+                k += 1
+            first = own[k] if k < len(own) else ref[k]
+            raise SchemaError(
+                f"{obs_path}: {security_id}: dates differ from those of {security_ids[0]} "
+                f"at {dt.date.fromordinal(first)}; every security must have the same dates"
+            )
+
+    n_days = len(calendar)
+    by_row = np.frombuffer(cells, dtype=np.float64).reshape(-1, len(VARIABLES))[rows]
+    values = np.ascontiguousarray(by_row.T.reshape(len(VARIABLES), len(security_ids), n_days))
+    invalid = _first_invalid(values)
+    if invalid is not None:
+        v, i, t, reason = invalid
+        line = rows[i * n_days + t] + 2
+        raise ValueError(
+            f"{obs_path}: row {line}: column {VARIABLES[v]!r} {reason}: {float(values[v, i, t])!r}"
+        )
+
+    profiles = load_profiles(prof_path)
+    return LendingDataset(
+        dates=tuple(dt.date.fromordinal(d) for d in calendar.tolist()),
+        security_ids=security_ids,
+        values=values,
+        profiles=tuple(profiles[s] for s in sorted(profiles)),
+    )

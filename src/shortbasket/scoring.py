@@ -178,7 +178,7 @@ def rate_stats(
     day's rate otherwise.
     """
     _check_flavor(flavor)
-    rates = series.column(cfg.rate_source)
+    rates = series.column(cfg.rate_source).tolist()
     dates = series.dates
     try:
         idx = dates.index(as_of)
@@ -328,19 +328,19 @@ def _build_row(series: SecuritySeries, cfg: ScoreConfig, flavor: str) -> ShortSc
     n = len(series)
     idx = 0 if flavor == "first_day" else n - 1
     as_of = series.dates[idx]
-    prices = series.column("price")
-    si = series.column("short_interest")
-    la = series.column("availability")
-    volume = series.column("volume")
-    balance = series.column("loan_balance")
+    price = float(series.column("price")[idx])
+    si = series.column("short_interest").tolist()
+    la = series.column("availability").tolist()
+    volume = series.column("volume").tolist()
+    balance = series.column("loan_balance").tolist()
 
     base = dict(
         date=as_of,
         security_id=series.security_id,
         flavor=flavor,
-        price=prices[idx],
-        loan_rate=series.observations[idx].loan_rate,
-        alt_loan_rate=series.observations[idx].alt_loan_rate,
+        price=price,
+        loan_rate=float(series.column("loan_rate")[idx]),
+        alt_loan_rate=float(series.column("alt_loan_rate")[idx]),
         loan_balance_start=balance[0],
         loan_balance_end=balance[-1],
     )
@@ -380,8 +380,8 @@ def _build_row(series: SecuritySeries, cfg: ScoreConfig, flavor: str) -> ShortSc
         lbg=lbg,
         ma_si=si_level,
         ma_la=la_level,
-        si_usd=si_level * prices[idx],
-        la_usd=la_level * prices[idx],
+        si_usd=si_level * price,
+        la_usd=la_level * price,
         adv=adv,
     )
 
@@ -503,7 +503,7 @@ def read_score_csv(path: Path | str, flavor: str = "ma") -> list[ShortScoreRow]:
         got = tuple(reader.fieldnames or ())
         if got != SCORE_CSV_COLUMNS:
             raise SchemaError(f"{path}: unexpected score-table header {got}")
-        for raw in reader:
+        for line, raw in enumerate(reader, start=2):
             price = float(raw["price"])
             la = _parse_opt(raw["availability"])
             si = _parse_opt(raw["short_interest"])
@@ -511,7 +511,11 @@ def read_score_csv(path: Path | str, flavor: str = "ma") -> list[ShortScoreRow]:
             e_lr = _parse_opt(raw["e_lr"])
             factors = None
             if e_lr is not None:
-                assert la is not None and si is not None and sigma is not None
+                if la is None or si is None or sigma is None:
+                    raise SchemaError(
+                        f"{path}: row {line}: a scored row needs availability, "
+                        f"short_interest and rate_volatility"
+                    )
                 factors = DerivedFactors(
                     e_lr=e_lr,
                     sigma_lr=sigma,

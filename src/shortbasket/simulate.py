@@ -26,30 +26,16 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .datastore import (
-    LendingDataset,
-    LendingObservation,
-    SecurityProfile,
-    SecuritySeries,
-    build_dataset,
-)
+from .datastore import VARIABLES, LendingDataset, SecurityProfile
 from .errors import MissingVariableRange
 from .rng import NoiseStream
 
 TRADING_DAYS_PER_YEAR = 252
 DEFAULT_DT = 1.0 / TRADING_DAYS_PER_YEAR
 
-# Stable channel order; substream ids are derived from these indices.
-VARIABLES = (
-    "price",
-    "availability",
-    "short_interest",
-    "volume",
-    "loan_balance",
-    "loan_rate",
-    "alt_loan_rate",
-)
-_VARIABLE_INDEX = {name: i for i, name in enumerate(VARIABLES)}
+# Substream ids are derived from the indices of VARIABLES, so its order
+# is part of every simulated dataset.
+_LOAN_RATE, _ALT_LOAN_RATE = VARIABLES.index("loan_rate"), VARIABLES.index("alt_loan_rate")
 _PROFILE_CHANNEL = len(VARIABLES)
 _PARAMS, _PATH = 0, 1
 
@@ -204,51 +190,35 @@ def simulate_security(
     master_seed: int,
     *,
     dt_step: float = DEFAULT_DT,
-    start_date: dt.date = DEFAULT_START_DATE,
     markets: tuple[str, ...] = DEFAULT_MARKETS,
     buy_rating_range: tuple[float, float] = DEFAULT_BUY_RATING_RANGE,
     beta_range: tuple[float, float] = DEFAULT_BETA_RANGE,
-) -> tuple[SecuritySeries, SecurityProfile]:
+) -> tuple[np.ndarray, SecurityProfile]:
     """Simulate one security, independent of all others.
 
-    Depends only on ``(master_seed, security_index)`` plus the config,
-    so securities can be generated in any order or in parallel and
-    merged by index.
+    Returns its ``(len(VARIABLES), n_days)`` rows, one per variable in
+    ``VARIABLES`` order, and its profile. Depends only on
+    ``(master_seed, security_index)`` plus the config, so securities can
+    be generated in any order or in parallel and merged by index.
     """
     ranges = _as_range_map(seed_config)
     root = NoiseStream(master_seed)
-    columns: dict[str, np.ndarray] = {}
-    for variable in VARIABLES:
-        channel = root.child(security_index, _VARIABLE_INDEX[variable])
+    rows = np.empty((len(VARIABLES), n_days))
+    for v, variable in enumerate(VARIABLES):
+        channel = root.child(security_index, v)
         params = draw_params(ranges[variable], channel.child(_PARAMS))
         if variable == "loan_balance":
             assert isinstance(params, FoldedNormalParams)
-            columns[variable] = simulate_abs_normal(params, n_days, channel.child(_PATH))
+            rows[v] = simulate_abs_normal(params, n_days, channel.child(_PATH))
         else:
             assert isinstance(params, GbmParams)
-            columns[variable] = simulate_gbm(params, n_days, dt_step, channel.child(_PATH))
+            rows[v] = simulate_gbm(params, n_days, dt_step, channel.child(_PATH))
 
     # The end-borrower rate can never undercut the sourcing rate; floor
     # the independently simulated alternate-rate path at the loan rate.
-    columns["alt_loan_rate"] = np.maximum(columns["alt_loan_rate"], columns["loan_rate"])
+    rows[_ALT_LOAN_RATE] = np.maximum(rows[_ALT_LOAN_RATE], rows[_LOAN_RATE])
 
     security_id = _security_id(security_index, n_securities)
-    dates = trading_dates(start_date, n_days)
-    observations = tuple(
-        LendingObservation(
-            date=dates[t],
-            security_id=security_id,
-            price=float(columns["price"][t]),
-            availability=float(columns["availability"][t]),
-            short_interest=float(columns["short_interest"][t]),
-            volume=float(columns["volume"][t]),
-            loan_balance=float(columns["loan_balance"][t]),
-            loan_rate=float(columns["loan_rate"][t]),
-            alt_loan_rate=float(columns["alt_loan_rate"][t]),
-        )
-        for t in range(n_days)
-    )
-
     gen = root.child(security_index, _PROFILE_CHANNEL).generator()
     profile = SecurityProfile(
         security_id=security_id,
@@ -256,7 +226,7 @@ def simulate_security(
         buy_rating=float(gen.uniform(*buy_rating_range)),
         beta=float(gen.uniform(*beta_range)),
     )
-    return SecuritySeries(security_id, observations), profile
+    return rows, profile
 
 
 def simulate_universe(
@@ -271,25 +241,29 @@ def simulate_universe(
     buy_rating_range: tuple[float, float] = DEFAULT_BUY_RATING_RANGE,
     beta_range: tuple[float, float] = DEFAULT_BETA_RANGE,
 ) -> LendingDataset:
-    """Simulate a whole universe; deterministic given the master seed."""
+    """Simulate a whole universe on one calendar; deterministic given the master seed."""
     if n_securities < 1:
         raise ValueError(f"n_securities must be >= 1, got {n_securities}")
     ranges = _as_range_map(seed_config)
-    series = []
+    values = np.empty((len(VARIABLES), n_securities, n_days))
     profiles = []
     for i in range(n_securities):
-        s, p = simulate_security(
+        values[:, i], profile = simulate_security(
             ranges,
             i,
             n_securities,
             n_days,
             master_seed,
             dt_step=dt_step,
-            start_date=start_date,
             markets=markets,
             buy_rating_range=buy_rating_range,
             beta_range=beta_range,
         )
-        series.append(s)
-        profiles.append(p)
-    return build_dataset(series, profiles)
+        profiles.append(profile)
+    # Zero-padded ids sort in index order.
+    return LendingDataset(
+        dates=tuple(trading_dates(start_date, n_days)),
+        security_ids=tuple(p.security_id for p in profiles),
+        values=values,
+        profiles=tuple(profiles),
+    )

@@ -4,15 +4,10 @@ from __future__ import annotations
 
 import datetime as dt
 
+import numpy as np
 import pytest
 
-from shortbasket.datastore import (
-    LendingDataset,
-    LendingObservation,
-    SecurityProfile,
-    SecuritySeries,
-    build_dataset,
-)
+from shortbasket.datastore import VARIABLES, LendingDataset, SecurityProfile, SecuritySeries
 from shortbasket.scoring import DerivedFactors, ShortScoreRow
 from shortbasket.simulate import trading_dates
 
@@ -77,36 +72,42 @@ def series_from_columns(
     loan_rate=0.05,
     alt_loan_rate=None,
 ) -> SecuritySeries:
-    """Build a series from scalars or per-day sequences."""
+    """One security's series, from scalars or per-day sequences.
 
-    def at(value, t):
-        return value[t] if isinstance(value, (list, tuple)) else value
-
-    dates = trading_dates(START, n_days)
-    observations = []
-    for t in range(n_days):
-        lr = at(loan_rate, t)
-        alt = at(alt_loan_rate, t) if alt_loan_rate is not None else lr * 1.2
-        observations.append(
-            LendingObservation(
-                date=dates[t],
-                security_id=security_id,
-                price=at(price, t),
-                availability=at(availability, t),
-                short_interest=at(short_interest, t),
-                volume=at(volume, t),
-                loan_balance=at(loan_balance, t),
-                loan_rate=lr,
-                alt_loan_rate=alt,
-            )
-        )
-    return SecuritySeries(security_id, tuple(observations))
+    The alternate rate defaults to 1.2 times the loan rate. The series
+    is a view of a one-security dataset with a default profile.
+    """
+    given = dict(
+        price=price,
+        availability=availability,
+        short_interest=short_interest,
+        volume=volume,
+        loan_balance=loan_balance,
+        loan_rate=loan_rate,
+        alt_loan_rate=np.multiply(loan_rate, 1.2) if alt_loan_rate is None else alt_loan_rate,
+    )
+    rows = np.empty((len(VARIABLES), n_days))
+    for v, name in enumerate(VARIABLES):
+        rows[v] = given[name]
+    dataset = LendingDataset(
+        dates=tuple(trading_dates(START, n_days)),
+        security_ids=(security_id,),
+        values=rows[:, np.newaxis, :],
+        profiles=(make_profile(security_id),),
+    )
+    return dataset.series[0]
 
 
 def dataset_from_series(*series: SecuritySeries, profiles=None) -> LendingDataset:
+    """Stack series that share one calendar, in id order, into a dataset."""
     if profiles is None:
         profiles = [make_profile(s.security_id) for s in series]
-    return build_dataset(series, profiles)
+    return LendingDataset(
+        dates=series[0].dates,
+        security_ids=tuple(s.security_id for s in series),
+        values=np.stack([[s.column(name) for name in VARIABLES] for s in series], axis=1),
+        profiles=tuple(profiles),
+    )
 
 
 @pytest.fixture

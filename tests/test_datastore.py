@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-import datetime as dt
-
 import pytest
 
 from shortbasket.config import DEFAULT_SEED_RANGES
 from shortbasket.datastore import (
     OBSERVATIONS_FILENAME,
     PROFILES_FILENAME,
-    LendingObservation,
-    SecuritySeries,
-    build_dataset,
     export_csv,
     ingest_csv,
     load_profiles,
@@ -170,15 +165,84 @@ def test_load_profiles_standalone(tmp_path):
     assert profiles["AAA"].beta == 1.1
 
 
-def test_series_rejects_foreign_observation():
-    obs = LendingObservation(
-        dt.date(2021, 1, 4), "BBB", 100.0, 1.0, 1.0, 1.0, 1.0, 0.01, 0.02
-    )
-    with pytest.raises(ValueError, match="BBB"):
-        SecuritySeries("AAA", (obs,))
-
-
 def test_dataset_requires_matching_ids():
     series = series_from_columns("SEC0001", 3)
     with pytest.raises(SchemaError):
-        build_dataset([series], [make_profile("SEC0002")])
+        dataset_from_series(series, profiles=[make_profile("SEC0002")])
+
+
+def test_dataset_rejects_unsorted_ids():
+    a, b = series_from_columns("SEC0001", 3), series_from_columns("SEC0002", 3)
+    with pytest.raises(ValueError, match="sorted"):
+        dataset_from_series(b, a)
+
+
+def test_dataset_values_are_read_only():
+    dataset = dataset_from_series(series_from_columns("SEC0001", 3))
+    with pytest.raises(ValueError):
+        dataset.values[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        dataset.series[0].column("price")[0] = 1.0
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_value_names_row_and_column(tmp_path, raw):
+    write_dataset_dir(
+        tmp_path,
+        [
+            "2021-01-04,AAA,100.0,1000.0,2000.0,500.0,1e6,0.05,0.06",
+            f"2021-01-05,AAA,100.0,1000.0,2000.0,{raw},1e6,0.05,0.06",
+        ],
+        ["AAA,JP,4.0,1.5"],
+    )
+    with pytest.raises(ValueError, match=r"observations\.csv: row 3: column 'volume' is not finite"):
+        ingest_csv(tmp_path)
+
+
+def test_non_finite_beta_names_row(tmp_path):
+    write_dataset_dir(
+        tmp_path,
+        ["2021-01-04,AAA,100.0,1000.0,2000.0,500.0,1e6,0.05,0.06"],
+        ["AAA,JP,4.0,nan"],
+    )
+    with pytest.raises(ValueError, match=r"profiles\.csv: row 2: beta must be finite"):
+        ingest_csv(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "bbb_dates, first_difference",
+    [(["2021-01-04", "2021-01-06"], "2021-01-06"), (["2021-01-04"], "2021-01-05")],
+)
+def test_securities_must_share_one_calendar(tmp_path, bbb_dates, first_difference):
+    row = "{},{},100.0,1000.0,2000.0,500.0,1e6,0.05,0.06"
+    write_dataset_dir(
+        tmp_path,
+        [row.format(d, "AAA") for d in ("2021-01-04", "2021-01-05")]
+        + [row.format(d, "BBB") for d in bbb_dates],
+        ["AAA,JP,4.0,1.5", "BBB,JP,4.0,1.5"],
+    )
+    with pytest.raises(SchemaError, match=rf"observations\.csv: BBB: .*{first_difference}"):
+        ingest_csv(tmp_path)
+
+
+def test_date_major_file_ingests_like_security_major(tmp_path):
+    dataset = simulate_universe(DEFAULT_SEED_RANGES, 3, 5, 4)
+    obs_path, _ = export_csv(dataset, tmp_path)
+    header, *rows = obs_path.read_text().splitlines()
+    rows.sort(key=lambda line: (line.split(",")[0], line.split(",")[1]))
+    obs_path.write_text("\n".join([header] + rows) + "\n")
+    assert ingest_csv(tmp_path) == dataset
+
+
+def test_load_profiles_rejects_duplicate_id(tmp_path):
+    path = tmp_path / PROFILES_FILENAME
+    path.write_text(PROF_HEADER + "\nAAA,TW,3.5,1.1\nAAA,JP,4.0,1.2\n")
+    with pytest.raises(SchemaError, match=r"profiles\.csv: row 3: duplicate profile for AAA"):
+        load_profiles(path)
+
+
+def test_load_profiles_rejects_short_row(tmp_path):
+    path = tmp_path / PROFILES_FILENAME
+    path.write_text(PROF_HEADER + "\nAAA,TW,3.5\n")
+    with pytest.raises(SchemaError, match=r"profiles\.csv: row 2: wrong number of fields"):
+        load_profiles(path)

@@ -11,6 +11,7 @@ from shortbasket.errors import (
     DegenerateCrossSection,
     EmptySeries,
     InsufficientHistory,
+    SchemaError,
 )
 from shortbasket.scoring import (
     FLAVORS,
@@ -383,6 +384,17 @@ class TestScoreCsv:
         a = write_score_csv(rows, tmp_path / "a.csv")
         b = write_score_csv(rows, tmp_path / "b.csv")
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("column", ["availability", "short_interest", "rate_volatility"])
+    def test_scored_row_missing_factor_cell_names_line(self, tmp_path, tiny_dataset, column):
+        path = write_score_csv(score_table(tiny_dataset, CFG, "ma"), tmp_path / "scores_ma.csv")
+        header, *lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[header.split(",").index(column)] = ""
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join([header] + lines) + "\n")
+        with pytest.raises(SchemaError, match=rf"scores_ma\.csv: row 3: .*{column}"):
+            read_score_csv(path, "ma")
 
 
 class TestConfigValidation:

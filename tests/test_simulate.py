@@ -152,11 +152,13 @@ class TestUniverse:
         ds = simulate_universe(DEFAULT_SEED_RANGES, 10, 30, 42)
         assert len(ds.series) == 10
         assert all(len(s) == 30 for s in ds.series)
-        for s in ds.series:
-            for obs in s.observations:
-                assert obs.price > 0
-                assert obs.loan_balance >= 0
-                assert obs.alt_loan_rate >= obs.loan_rate
+        assert ds.values.shape == (len(VARIABLES), 10, 30)
+        price, balance, rate, alt = (
+            ds.values[VARIABLES.index(v)] for v in ("price", "loan_balance", "loan_rate", "alt_loan_rate")
+        )
+        assert (price > 0).all()
+        assert (balance >= 0).all()
+        assert (alt >= rate).all()
 
     def test_deterministic_given_master_seed(self):
         a = simulate_universe(DEFAULT_SEED_RANGES, 5, 20, 99)
@@ -170,13 +172,13 @@ class TestUniverse:
 
     def test_degenerate_single_observation_equals_drawn_start(self):
         ds = simulate_universe(DEFAULT_SEED_RANGES, 1, 1, 7)
-        obs = ds.series[0].observations[0]
+        first_price = ds.series[0].column("price")[0]
         # reconstruct the price start draw from the documented substream layout
         price_idx = VARIABLES.index("price")
         params = draw_params(
             DEFAULT_SEED_RANGES["price"], NoiseStream(7).child(0, price_idx, 0)
         )
-        assert obs.price == params.s0
+        assert first_price == params.s0
 
     def test_order_independence_of_securities(self):
         ds = simulate_universe(DEFAULT_SEED_RANGES, 4, 15, 5)
@@ -184,7 +186,7 @@ class TestUniverse:
             simulate_security(DEFAULT_SEED_RANGES, i, 4, 15, 5) for i in reversed(range(4))
         ]
         rebuilt.reverse()
-        assert tuple(s for s, _ in rebuilt) == ds.series
+        assert np.array_equal(np.stack([rows for rows, _ in rebuilt], axis=1), ds.values)
         assert tuple(p for _, p in rebuilt) == ds.profiles
 
     def test_missing_variable_range_rejected(self):
