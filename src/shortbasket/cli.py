@@ -99,6 +99,11 @@ def _flavor_from_scores_path(path: Path) -> str:
     for flavor in scoring.FLAVORS:
         if stem.endswith(flavor):
             return flavor
+    print(
+        f"note: the flavor of {path.name} is not in its name; assuming 'ma' "
+        f"(pass --flavor to choose)",
+        file=sys.stderr,
+    )
     return "ma"
 
 

@@ -15,9 +15,20 @@ profiles.csv::
 
     security_id,market,buy_rating,beta
 
-Dates are ISO-8601, decimals use ``.``. Floats are written with
-``repr()`` so values round-trip exactly and identical datasets always
-produce identical bytes. Export orders rows by (security_id, date).
+Dates are ISO-8601, decimals use ``.``. A float is written as Python's
+shortest round-trip ``repr()`` text, so values round-trip exactly and
+identical datasets always produce identical bytes. observations.csv
+gets that text in bulk: orjson formats each security's block of values
+in one call, and blocks whose values lie outside the range where its
+text equals ``repr()`` are formatted by ``repr()``. Export orders rows
+by (security_id, date) and streams them to the file one security at a
+time.
+
+Ingest reads observations.csv in chunks of whole lines and parses the
+seven value columns of a chunk with one orjson call. A chunk that holds
+anything but plain JSON numbers there (``.5``, ``+1``, ``nan``, quoted
+fields ...) is parsed cell by cell with ``float()`` instead, so the
+accepted spellings and the error messages are those of ``float()``.
 Ingest accepts the rows in any order of securities, date-major desk
 files included, provided each security's dates are strictly increasing
 and every security has the same dates. Non-finite values (``nan``,
@@ -28,15 +39,19 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import io
+import itertools
 import math
 import os
+import re
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import OrderError, SchemaError
 
@@ -59,6 +74,19 @@ _PRICE, _LOAN_RATE, _ALT_LOAN_RATE = map(VARIABLES.index, ("price", "loan_rate",
 
 OBSERVATION_COLUMNS = ("date", "security_id", *VARIABLES)
 PROFILE_COLUMNS = ("security_id", "market", "buy_rating", "beta")
+
+# orjson writes a float as the same shortest round-trip digits as repr(),
+# but changes to exponent notation at other magnitudes: repr() writes
+# 1e-05 and 1e+16 where orjson writes 0.00001 and 1e16. For zero and
+# magnitudes in [_ORJSON_REPR_MIN, _ORJSON_REPR_MAX) the two texts are equal.
+_ORJSON_REPR_MIN, _ORJSON_REPR_MAX = 1e-4, 1e16
+# Ingest parses observations.csv about this many characters at a time,
+# or this many rows where the csv module reads the rest of the file. This
+# bounds the memory the parse holds besides the values themselves.
+_INGEST_CHUNK_CHARS = 1 << 17
+_INGEST_CHUNK_ROWS = 2048
+# "-0" parses as the int 0 in JSON but as -0.0 under float().
+_NEGATIVE_INT_ZERO = re.compile(r"(?<![eE])-0(?![.eE])")
 
 
 @dataclass(frozen=True)
@@ -186,13 +214,50 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write the full content or nothing: temp file + atomic rename."""
+def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
+    """Write the full content or nothing: a temp file of its own, then an atomic rename.
+
+    ``text`` is the whole content or an iterable of chunks of it. The
+    temp file gets a random name next to ``path``, so concurrent writers
+    never share one, and it is removed if the write fails.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="")
-    os.replace(tmp, path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    # O_EXCL rather than tempfile.mkstemp, which creates mode 0600: the
+    # file keeps the mode that the umask gives any new file.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it as a field of a row, quoted only if it must be."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, "x"])
+    return buf.getvalue()[: -len(",x\n")]
+
+
+def _observation_text(dataset: LendingDataset) -> Iterator[str]:
+    """observations.csv as chunks: the header, then the rows of one security at a time."""
+    yield ",".join(OBSERVATION_COLUMNS) + "\n"
+    date_fields = [f"{d.isoformat()}," for d in dataset.dates]
+    for i, security_id in enumerate(dataset.security_ids):
+        block = np.ascontiguousarray(dataset.values[:, i].T)
+        magnitude = np.abs(block)
+        if np.all((magnitude == 0) | ((magnitude >= _ORJSON_REPR_MIN) & (magnitude < _ORJSON_REPR_MAX))):
+            # "[[a,b,...],[c,d,...]]": one list of seven values per day.
+            nested = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+            days = nested[2:-2].split("],[")
+        else:
+            days = [",".join(map(repr, day)) for day in block.tolist()]
+        prefix = _csv_field(security_id) + ","
+        yield "".join([date + prefix + day + "\n" for date, day in zip(date_fields, days)])
 
 
 def export_csv(dataset: LendingDataset, out_dir: Path | str) -> tuple[Path, Path]:
@@ -202,14 +267,6 @@ def export_csv(dataset: LendingDataset, out_dir: Path | str) -> tuple[Path, Path
     so equal datasets serialize to identical bytes.
     """
     out_dir = Path(out_dir)
-    iso_dates = [d.isoformat() for d in dataset.dates]
-    obs_buf = io.StringIO()
-    writer = csv.writer(obs_buf, lineterminator="\n")
-    writer.writerow(OBSERVATION_COLUMNS)
-    for i, security_id in enumerate(dataset.security_ids):
-        days = dataset.values[:, i].T.tolist()
-        writer.writerows([date, security_id, *map(repr, day)] for date, day in zip(iso_dates, days))
-
     prof_buf = io.StringIO()
     writer = csv.writer(prof_buf, lineterminator="\n")
     writer.writerow(PROFILE_COLUMNS)
@@ -218,7 +275,7 @@ def export_csv(dataset: LendingDataset, out_dir: Path | str) -> tuple[Path, Path
 
     obs_path = out_dir / OBSERVATIONS_FILENAME
     prof_path = out_dir / PROFILES_FILENAME
-    atomic_write_text(obs_path, obs_buf.getvalue())
+    atomic_write_text(obs_path, _observation_text(dataset))
     atomic_write_text(prof_path, prof_buf.getvalue())
     return obs_path, prof_path
 
@@ -233,10 +290,9 @@ def _check_header(got: Sequence[str], expected: Sequence[str], path: Path) -> No
         )
 
 
-def _records(reader: Iterator[list[str]], columns: Sequence[str], path: Path) -> Iterator:
-    """``(line, row)`` of each non-blank record after the checked header."""
-    _check_header(next(reader, []), columns, path)
-    for line, row in enumerate(filter(None, reader), start=2):
+def _records(reader: Iterator[list[str]], columns: Sequence[str], path: Path, start: int = 2) -> Iterator:
+    """``(line, row)`` of each non-blank record, numbered from ``start``."""
+    for line, row in enumerate(filter(None, reader), start=start):
         if len(row) != len(columns):
             raise SchemaError(f"{path}: row {line}: wrong number of fields")
         yield line, row
@@ -249,13 +305,57 @@ def _parse_float(raw: str, column: str, path: Path, line: int) -> float:
         raise ValueError(f"{path}: row {line}: column {column!r} is not numeric: {raw!r}") from exc
 
 
+def _parse_lines(lines: list[str]) -> tuple[Sequence[str], Sequence[str], array] | None:
+    """``(dates, ids, values)`` of unquoted observation lines, the values parsed in one orjson call.
+
+    None when any line is blank or has the wrong number of fields, or any
+    value cell is not a plain JSON number: such lines take the per-cell
+    path, which accepts what ``float()`` accepts and names a bad row.
+    """
+    rows = [line.split(",", 2) for line in lines]
+    if set(map(len, rows)) != {3}:
+        return None
+    dates, ids, tails = zip(*rows)
+    if set(map(str.count, tails, itertools.repeat(","))) != {len(VARIABLES) - 1}:
+        return None
+    # Each tail keeps its line ending, which JSON reads as whitespace.
+    text = "[" + ",".join(tails) + "]"
+    try:
+        values = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return None
+    # orjson also takes true, null, strings and lists, which float()
+    # rejects and array("d") would take or fail on.
+    kinds = set(map(type, values))
+    if len(values) != len(VARIABLES) * len(tails) or not kinds <= {float, int}:
+        return None
+    if int in kinds and _NEGATIVE_INT_ZERO.search(text):
+        return None
+    return dates, ids, array("d", values)
+
+
+def _parse_records(records: Iterable[tuple[int, list[str]]], path: Path) -> tuple[list, list, array]:
+    """``(dates, ids, values)`` of csv records, each value parsed by ``float()``."""
+    dates, ids, values = [], [], array("d")
+    for line, row in records:
+        dates.append(row[0])
+        ids.append(row[1])
+        try:
+            values.extend(map(float, row[2:]))
+        except ValueError:
+            for column, raw in zip(VARIABLES, row[2:]):
+                _parse_float(raw, column, path, line)
+    return dates, ids, values
+
+
 def load_profiles(path: Path | str) -> dict[str, SecurityProfile]:
     """Read and validate a profiles.csv into an id-keyed mapping, in file order."""
     path = Path(path)
     profiles: dict[str, SecurityProfile] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        records = _records(csv.reader(fh), PROFILE_COLUMNS, path)
-        for line, (security_id, market, buy_rating, beta) in records:
+        reader = csv.reader(fh)
+        _check_header(next(reader, []), PROFILE_COLUMNS, path)
+        for line, (security_id, market, buy_rating, beta) in _records(reader, PROFILE_COLUMNS, path):
             if security_id in profiles:
                 raise SchemaError(f"{path}: row {line}: duplicate profile for {security_id}")
             buy_rating = _parse_float(buy_rating, "buy_rating", path, line)
@@ -282,26 +382,60 @@ def ingest_csv(data_dir: Path | str) -> LendingDataset:
             raise SchemaError(f"missing input file: {p}")
 
     # One pass over the file into flat buffers: a code per distinct date
-    # and id string, and the seven values of each row.
+    # and id string, and the seven values of each row. The buffers are
+    # sized once, for at most one row per line break: growing them chunk
+    # by chunk leaves the heap fragmented and raises peak memory.
+    with open(obs_path, "rb") as raw:
+        blocks = iter(functools.partial(raw.read, 1 << 20), b"")
+        capacity = 1 + sum(block.count(b"\n") + block.count(b"\r") for block in blocks)
     date_codes: dict[str, int] = {}
     id_codes: dict[str, int] = {}
-    row_dates, row_ids, cells = array("q"), array("q"), array("d")
+    row_dates = np.empty(capacity, dtype=np.intp)
+    row_ids = np.empty(capacity, dtype=np.intp)
+    cells = np.empty((capacity, len(VARIABLES)))
+    n_rows = 0
+
+    def append(rows: tuple[Sequence[str], Sequence[str], array]) -> int:
+        nonlocal n_rows
+        dates, ids, values = rows
+        for date in dict.fromkeys(dates):
+            date_codes.setdefault(date, len(date_codes))
+        for security_id in dict.fromkeys(ids):
+            id_codes.setdefault(security_id, len(id_codes))
+        end = n_rows + len(dates)
+        row_dates[n_rows:end] = np.fromiter(map(date_codes.__getitem__, dates), np.intp, len(dates))
+        row_ids[n_rows:end] = np.fromiter(map(id_codes.__getitem__, ids), np.intp, len(ids))
+        cells[n_rows:end] = np.frombuffer(values).reshape(-1, len(VARIABLES))
+        n_rows = end
+        return len(dates)
+
     with open(obs_path, newline="", encoding="utf-8") as fh:
-        for line, row in _records(csv.reader(fh), OBSERVATION_COLUMNS, obs_path):
-            row_dates.append(date_codes.setdefault(row[0], len(date_codes)))
-            row_ids.append(id_codes.setdefault(row[1], len(id_codes)))
-            try:
-                cells.extend(map(float, row[2:]))
-            except ValueError:
-                for column, raw in zip(VARIABLES, row[2:]):
-                    _parse_float(raw, column, obs_path, line)
+        reader = csv.reader(fh)
+        _check_header(next(reader, []), OBSERVATION_COLUMNS, obs_path)
+        line = 2
+        for lines in iter(functools.partial(fh.readlines, _INGEST_CHUNK_CHARS), []):
+            text = "".join(lines)
+            if '"' in text or "\0" in text:
+                # A quoted field may span lines, and the csv module of
+                # Python 3.10 rejects NUL: it reads the rest of the file.
+                reader = csv.reader(itertools.chain(lines, fh))
+                records = _records(reader, OBSERVATION_COLUMNS, obs_path, line)
+                for batch in iter(lambda: list(itertools.islice(records, _INGEST_CHUNK_ROWS)), []):
+                    append(_parse_records(batch, obs_path))
+                break
+            parsed = _parse_lines(lines)
+            if parsed is None:
+                records = _records(csv.reader(lines), OBSERVATION_COLUMNS, obs_path, line)
+                parsed = _parse_records(records, obs_path)
+            line += append(parsed)
+    row_dates, row_ids, cells = row_dates[:n_rows], row_ids[:n_rows], cells[:n_rows]
 
     ordinals = []
     for code, raw in enumerate(date_codes):
         try:
             ordinals.append(dt.date.fromisoformat(raw).toordinal())
         except ValueError as exc:
-            line = row_dates.index(code) + 2
+            line = int(np.argmax(row_dates == code)) + 2
             raise ValueError(f"{obs_path}: row {line}: bad date {raw!r}") from exc
 
     # Group the rows by security in id order, keeping file order within
@@ -309,9 +443,9 @@ def ingest_csv(data_dir: Path | str) -> LendingDataset:
     security_ids = tuple(sorted(id_codes))
     position = {security_id: k for k, security_id in enumerate(security_ids)}
     security_of_code = np.array([position[s] for s in id_codes], dtype=np.intp)
-    security_of_row = security_of_code[np.asarray(row_ids, dtype=np.intp)]
+    security_of_row = security_of_code[row_ids]
     rows = np.argsort(security_of_row, kind="stable")
-    day_of_row = np.asarray(ordinals, dtype=np.int64)[np.asarray(row_dates, dtype=np.intp)][rows]
+    day_of_row = np.asarray(ordinals, dtype=np.int64)[row_dates][rows]
     bounds = np.cumsum(np.bincount(security_of_row, minlength=len(security_ids)))
     calendar = day_of_row[: bounds[0]] if security_ids else day_of_row
     for security_id, days in zip(security_ids, np.split(day_of_row, bounds[:-1])):
@@ -334,8 +468,8 @@ def ingest_csv(data_dir: Path | str) -> LendingDataset:
             )
 
     n_days = len(calendar)
-    by_row = np.frombuffer(cells, dtype=np.float64).reshape(-1, len(VARIABLES))[rows]
-    values = np.ascontiguousarray(by_row.T.reshape(len(VARIABLES), len(security_ids), n_days))
+    # One gather straight into the panel's layout, with no row-major copy between.
+    values = np.take(cells.T, rows, axis=1).reshape(len(VARIABLES), len(security_ids), n_days)
     invalid = _first_invalid(values)
     if invalid is not None:
         v, i, t, reason = invalid

@@ -57,6 +57,10 @@ class NonPositiveScore(ShortBasketError):
     """A security selected for the basket carries a score <= 0."""
 
 
+class NonFiniteScore(ShortBasketError):
+    """A security selected for the basket carries an infinite or NaN score."""
+
+
 class PathTooShort(ShortBasketError):
     """Path statistics need at least two points."""
 

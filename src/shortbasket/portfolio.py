@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import InfeasibleCap, InsufficientHistory, NonPositiveScore
+from .errors import InfeasibleCap, InsufficientHistory, NonFiniteScore, NonPositiveScore
 from .screener import RankedSecurity
 
 SUM_TOL = 1e-9
@@ -40,9 +40,10 @@ class PortfolioAllocation:
 
     def __post_init__(self) -> None:
         weights = [w for _, w in self.holdings]
-        if abs(math.fsum(weights) - 1.0) > SUM_TOL:
+        # Negated comparisons, so that a NaN weight fails them.
+        if not abs(math.fsum(weights) - 1.0) <= SUM_TOL:
             raise ValueError(f"weights must sum to 1, got {math.fsum(weights)}")
-        if any(w <= 0 for w in weights):
+        if not all(w > 0 for w in weights):
             raise ValueError("all weights must be strictly positive")
         if any(w > self.cap + CAP_TOL for w in weights):
             raise ValueError(f"a weight exceeds the cap {self.cap}")
@@ -86,6 +87,10 @@ def _validate_selection(scores: Sequence[float], cap: float) -> None:
             f"{len(scores)} positions at cap {cap} cannot reach full weight "
             f"({len(scores)} * {cap} < 1)"
         )
+    # A score-one sentinel (+inf) has no proportional weight: inf/inf is NaN.
+    non_finite = [s for s in scores if not math.isfinite(s)]
+    if non_finite:
+        raise NonFiniteScore(f"selected securities must have finite scores, got {non_finite[:3]}")
     bad = [s for s in scores if s <= 0]
     if bad:
         raise NonPositiveScore(f"selected securities must have positive scores, got {bad[:3]}")

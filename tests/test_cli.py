@@ -155,6 +155,28 @@ class TestRank:
         assert "SEC0001" not in (out / "ranking.csv").read_text()
         assert "SEC0001,manual_exclusion" in (out / "excluded.csv").read_text()
 
+    def rank_scores_file(self, sim_dir, ranked_dir, scores, out, *extra):
+        return run(["rank", "--scores", str(scores), "--profiles", str(sim_dir / "profiles.csv"),
+                    "--config", str(ranked_dir / "permissive.json"), "--out", str(out), *extra])
+
+    def test_flavor_fallback_is_reported_on_stderr(self, sim_dir, ranked_dir, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes((ranked_dir / "scores_ma.csv").read_bytes())
+        capsys.readouterr()
+        assert self.rank_scores_file(sim_dir, ranked_dir, scores, tmp_path / "out") == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("wrote ")
+        assert all(line.startswith("wrote ") for line in captured.out.splitlines())
+        note, = captured.err.splitlines()
+        assert "'ma'" in note and "--flavor" in note and "scores.csv" in note
+
+    @pytest.mark.parametrize("extra", [(), ("--flavor", "ma")], ids=["from_name", "from_flag"])
+    def test_known_flavor_prints_no_note(self, sim_dir, ranked_dir, tmp_path, capsys, extra):
+        capsys.readouterr()
+        code = self.rank_scores_file(sim_dir, ranked_dir, ranked_dir / "scores_ma.csv", tmp_path, *extra)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestPortfolio:
     def write_ranking(self, tmp_path, scores):
@@ -186,6 +208,14 @@ class TestPortfolio:
                     "--cap", "0.10", "--out", str(tmp_path)])
         assert code == 1
         assert "cap" in capsys.readouterr().err
+
+    def test_infinite_score_exits_one_with_named_error(self, tmp_path, capsys):
+        path = self.write_ranking(tmp_path, [float("inf"), 3.0])
+        code = run(["portfolio", "--ranking", str(path), "--top", "2",
+                    "--cap", "1.0", "--out", str(tmp_path)])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "allocation.csv").exists()
 
 
 class TestDiagnoseVol:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import threading
+
 import pytest
 
 from shortbasket.config import DEFAULT_SEED_RANGES
 from shortbasket.datastore import (
     OBSERVATIONS_FILENAME,
     PROFILES_FILENAME,
+    atomic_write_text,
     export_csv,
     ingest_csv,
     load_profiles,
@@ -246,3 +250,55 @@ def test_load_profiles_rejects_short_row(tmp_path):
     path.write_text(PROF_HEADER + "\nAAA,TW,3.5\n")
     with pytest.raises(SchemaError, match=r"profiles\.csv: row 2: wrong number of fields"):
         load_profiles(path)
+
+
+def test_atomic_write_failure_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+
+    def chunks():
+        yield "partial\n"
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        atomic_write_text(target, chunks())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+    assert target.read_text() == "old\n"
+
+
+def test_concurrent_writers_to_one_path_both_finish(tmp_path):
+    # Both writers hold their temp files at once: each waits for the other
+    # half-way through its chunks.
+    target = tmp_path / "out.csv"
+    halfway = threading.Barrier(2, timeout=10)
+    errors = []
+
+    def write(tag: str) -> None:
+        def chunks():
+            yield f"{tag} first half\n"
+            halfway.wait()
+            yield f"{tag} second half\n"
+
+        try:
+            atomic_write_text(target, chunks())
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    writers = [threading.Thread(target=write, args=(tag,)) for tag in ("a", "b")]
+    for writer in writers:
+        writer.start()
+    for writer in writers:
+        writer.join(timeout=10)
+    assert not any(writer.is_alive() for writer in writers)
+    assert errors == []
+    assert target.read_text() in ("a first half\na second half\n", "b first half\nb second half\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_atomic_write_file_mode_follows_umask(tmp_path):
+    umask = os.umask(0o022)
+    try:
+        atomic_write_text(tmp_path / "out.csv", "x\n")
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "out.csv").stat().st_mode & 0o777 == 0o644

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from shortbasket.errors import InfeasibleCap, InsufficientHistory, NonPositiveScore
+from shortbasket.errors import InfeasibleCap, InsufficientHistory, NonFiniteScore, NonPositiveScore
 from shortbasket.portfolio import (
     PortfolioAllocation,
     construct,
@@ -86,6 +86,15 @@ class TestConstruct:
         with pytest.raises(NonPositiveScore):
             construct(ranking([2.0, -1.0]), 2, 1.0)
 
+    @pytest.mark.parametrize(
+        "scores",
+        [[math.inf], [math.inf, 2.0], [2.0, math.nan], [-math.inf, 1.0]],
+        ids=["lone_inf", "inf_with_finite", "nan", "minus_inf"],
+    )
+    def test_non_finite_score_is_named_error(self, scores):
+        with pytest.raises(NonFiniteScore, match="finite"):
+            construct(ranking(scores), len(scores), 1.0)
+
     def test_cap_domain(self):
         with pytest.raises(ValueError):
             construct(ranking([1.0]), 1, 0.0)
@@ -132,6 +141,14 @@ class TestAllocationInvariants:
     def test_positive_weights_enforced(self):
         with pytest.raises(ValueError):
             PortfolioAllocation(None, (("A", 1.0), ("B", 0.0)), (1.0, 1.0), 1.0)
+
+    @pytest.mark.parametrize(
+        "holdings",
+        [(("A", math.nan),), (("A", 1.0), ("B", math.nan)), (("A", math.inf),)],
+    )
+    def test_non_finite_weight_rejected(self, holdings):
+        with pytest.raises(ValueError):
+            PortfolioAllocation(None, holdings, (1.0,) * len(holdings), 1.0)
 
 
 class TestRebalance:
