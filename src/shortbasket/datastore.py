@@ -51,7 +51,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-import orjson
 
 from .errors import OrderError, SchemaError
 
@@ -99,6 +98,10 @@ class SecurityProfile:
     beta: float
 
     def __post_init__(self) -> None:
+        # csv.writer quotes "\n" but not "\r", and ingest reads either as
+        # the end of a row: no id may hold one.
+        if "\r" in self.security_id or "\n" in self.security_id:
+            raise ValueError(f"security_id must not contain a line break, got {self.security_id!r}")
         if not 1.0 <= self.buy_rating <= 5.0:
             raise ValueError(f"buy_rating must be in [1, 5], got {self.buy_rating} ({self.security_id})")
         if not math.isfinite(self.beta):
@@ -245,6 +248,10 @@ def _csv_field(text: str) -> str:
 
 def _observation_text(dataset: LendingDataset) -> Iterator[str]:
     """observations.csv as chunks: the header, then the rows of one security at a time."""
+    # Imported here and in _parse_lines, not with the module: a process
+    # that reads and writes no observations.csv does not load orjson.
+    import orjson
+
     yield ",".join(OBSERVATION_COLUMNS) + "\n"
     date_fields = [f"{d.isoformat()}," for d in dataset.dates]
     for i, security_id in enumerate(dataset.security_ids):
@@ -312,6 +319,8 @@ def _parse_lines(lines: list[str]) -> tuple[Sequence[str], Sequence[str], array]
     value cell is not a plain JSON number: such lines take the per-cell
     path, which accepts what ``float()`` accepts and names a bad row.
     """
+    import orjson
+
     rows = [line.split(",", 2) for line in lines]
     if set(map(len, rows)) != {3}:
         return None

@@ -27,6 +27,15 @@ Division multipliers with zero denominators never leak infinities into
 a table: the row is flagged excluded with a machine-readable reason. A
 zero rate standard deviation, by contrast, is a legitimate score-one
 outcome and maps to a signed infinity sentinel.
+
+A table is computed for the whole cross-section at once. Every security
+shares the dataset's calendar, so the as-of day and each window are the
+same columns of the ``(securities, days)`` panel for every row; the
+elementwise arithmetic and the sentinels run in numpy. Each window sum
+is an exactly rounded ``math.fsum`` of its row and each squared
+deviation a Python ``**``, so a security's figures are those of scoring
+it alone, whatever panel it sits in. ``moving_average`` and
+``rate_stats`` accept a single series or a panel.
 """
 
 from __future__ import annotations
@@ -39,7 +48,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .datastore import LendingDataset, SecuritySeries, atomic_write_text
+import numpy as np
+
+from .datastore import VARIABLES, LendingDataset, SecuritySeries, atomic_write_text
 from .errors import DegenerateCrossSection, EmptySeries, InsufficientHistory, SchemaError
 
 FLAVORS = ("ma", "first_day", "last_day")
@@ -151,24 +162,42 @@ class ShortScoreRow:
             raise ValueError(f"unknown score selector {selector!r}") from None
 
 
-def moving_average(series: Sequence[float], window: int) -> float:
-    """Mean of the trailing ``window`` values, expanding before it fills."""
-    if len(series) == 0:
+def _row_fsums(block: np.ndarray) -> np.ndarray:
+    """Exactly rounded ``math.fsum`` along the last axis, one per row."""
+    # One row of Python floats at a time: a whole block of them takes
+    # fresh allocator arenas, which objects created meanwhile keep from
+    # being released, and a run's peak memory grows.
+    rows = block.reshape(-1, block.shape[-1])
+    sums = np.fromiter(map(math.fsum, map(np.ndarray.tolist, rows)), float, len(rows))
+    return sums.reshape(block.shape[:-1])
+
+
+def moving_average(values: Sequence[float] | np.ndarray, window: int) -> float | np.ndarray:
+    """Mean of the trailing ``window`` values, expanding before it fills.
+
+    ``values`` is one series, giving a float, or a panel whose last axis
+    is days, giving one mean per row.
+    """
+    block = np.asarray(values, dtype=float)
+    if block.shape[-1] == 0:
         raise EmptySeries("moving average of an empty series")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    tail = series[-min(window, len(series)):]
-    return math.fsum(tail) / len(tail)
+    tail = block[..., -min(window, block.shape[-1]) :]
+    means = _row_fsums(tail) / tail.shape[-1]
+    return means if block.ndim > 1 else float(means)
 
 
-def _sample_std(values: Sequence[float]) -> float:
-    mean = math.fsum(values) / len(values)
-    return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1))
+def _window(idx: int, length: int, flavor: str) -> slice:
+    """Days of a ``length``-day window at day ``idx``: anchored forward for ``first_day``, else trailing."""
+    if flavor == "first_day":
+        return slice(idx, idx + length)
+    return slice(max(0, idx + 1 - length), idx + 1)
 
 
 def rate_stats(
-    series: SecuritySeries, cfg: ScoreConfig, as_of: dt.date, flavor: str = "ma"
-) -> tuple[float, float]:
+    data: LendingDataset | SecuritySeries, cfg: ScoreConfig, as_of: dt.date, flavor: str = "ma"
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Expected rate and rate standard deviation at an evaluation date.
 
     The std uses the sample (n-1) deviation of rate levels over
@@ -176,30 +205,48 @@ def rate_stats(
     forward for the ``first_day`` flavor). The expectation is the
     ``ma_window`` moving average for the ``ma`` flavor and the as-of
     day's rate otherwise.
+
+    For a series the result is two floats; for a dataset it is two
+    arrays with one value per security, computed for the whole panel at
+    once. Every sum is an exactly rounded ``math.fsum`` and every squared
+    deviation a Python ``**``, so a security's figures do not depend on
+    the panel it is computed in.
     """
     _check_flavor(flavor)
-    rates = series.column(cfg.rate_source).tolist()
-    dates = series.dates
-    try:
-        idx = dates.index(as_of)
-    except ValueError:
-        raise InsufficientHistory(f"{series.security_id}: {as_of} not in series") from None
-
-    if flavor == "first_day":
-        window_vals = rates[idx : idx + cfg.vol_window]
+    single = isinstance(data, SecuritySeries)
+    if single:
+        subject = f"{data.security_id}: "
+        rates = data.column(cfg.rate_source)[np.newaxis]
     else:
-        window_vals = rates[max(0, idx + 1 - cfg.vol_window) : idx + 1]
-    if len(window_vals) < 2:
+        subject = ""
+        rates = data.values[VARIABLES.index(cfg.rate_source)]
+    try:
+        idx = data.dates.index(as_of)
+    except ValueError:
+        raise InsufficientHistory(f"{subject}{as_of} not in series") from None
+
+    window_vals = rates[:, _window(idx, cfg.vol_window, flavor)]
+    n = window_vals.shape[1]
+    if n < 2:
         raise InsufficientHistory(
-            f"{series.security_id}: need >= 2 observations in the volatility window, "
-            f"have {len(window_vals)}"
+            f"{subject}need >= 2 observations in the volatility window, have {n}"
         )
-    sigma_lr = _sample_std(window_vals)
+    mean = _row_fsums(window_vals) / n
+    deviations = window_vals - mean[:, np.newaxis]
+    # Python's ** (libm pow; ** 2.0 is the same call as ** 2) rather than
+    # d * d: the two differ in the last bit for some doubles, which would
+    # move rate_volatility.
+    squares = np.fromiter(
+        (math.fsum([d**2.0 for d in row.tolist()]) for row in deviations), float, len(deviations)
+    )
+    sigma_lr = np.sqrt(squares / (n - 1))
 
     if flavor == "ma":
-        e_lr = moving_average(rates[: idx + 1], cfg.ma_window)
+        e_lr = moving_average(rates[:, : idx + 1], cfg.ma_window)
     else:
-        e_lr = rates[idx]
+        e_lr = rates[:, idx]
+    if single:
+        return float(e_lr[0]), float(sigma_lr[0])
     return e_lr, sigma_lr
 
 
@@ -318,103 +365,131 @@ def _check_flavor(flavor: str) -> None:
         raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
 
 
-def _level(values: Sequence[float], idx: int, flavor: str, window: int) -> float:
+def _or_none(values: np.ndarray, missing: np.ndarray) -> list[float | None]:
+    return np.where(missing, None, values).tolist()
+
+
+def _scored_columns(
+    panel: Mapping[str, np.ndarray],
+    cfg: ScoreConfig,
+    flavor: str,
+    idx: int,
+    e_lr: np.ndarray,
+    sigma_lr: np.ndarray,
+) -> tuple[list, ...]:
+    """``(volume_view, score_one .. score_four, factors, excluded, reason)``, one list entry per security."""
+    levels = ("short_interest", "availability", "volume")
     if flavor == "ma":
-        return moving_average(values[: idx + 1], window)
-    return values[idx]
-
-
-def _build_row(series: SecuritySeries, cfg: ScoreConfig, flavor: str) -> ShortScoreRow:
-    n = len(series)
-    idx = 0 if flavor == "first_day" else n - 1
-    as_of = series.dates[idx]
-    price = float(series.column("price")[idx])
-    si = series.column("short_interest").tolist()
-    la = series.column("availability").tolist()
-    volume = series.column("volume").tolist()
-    balance = series.column("loan_balance").tolist()
-
-    base = dict(
-        date=as_of,
-        security_id=series.security_id,
-        flavor=flavor,
-        price=price,
-        loan_rate=float(series.column("loan_rate")[idx]),
-        alt_loan_rate=float(series.column("alt_loan_rate")[idx]),
-        loan_balance_start=balance[0],
-        loan_balance_end=balance[-1],
-    )
-
-    try:
-        e_lr, sigma_lr = rate_stats(series, cfg, as_of, flavor)
-    except InsufficientHistory as exc:
-        return ShortScoreRow(
-            **base,
-            volume_view=volume[idx],
-            score_one=None,
-            score_two=None,
-            score_three=None,
-            score_four=None,
-            factors=None,
-            excluded=True,
-            reason=f"{REASON_INSUFFICIENT_HISTORY}: {exc}",
-        )
-
-    si_level = _level(si, idx, flavor, cfg.ma_window)
-    la_level = _level(la, idx, flavor, cfg.ma_window)
-    volume_view = _level(volume, idx, flavor, cfg.ma_window)
-    if flavor == "first_day":
-        adv_vals = volume[idx : idx + ADV_WINDOW]
+        si_level, la_level, volume_view = (moving_average(panel[v], cfg.ma_window) for v in levels)
     else:
-        adv_vals = volume[max(0, idx + 1 - ADV_WINDOW) : idx + 1]
-    adv = math.fsum(adv_vals) / len(adv_vals)
+        si_level, la_level, volume_view = (panel[v][:, idx] for v in levels)
+    adv_vals = panel["volume"][:, _window(idx, ADV_WINDOW, flavor)]
+    adv = _row_fsums(adv_vals) / adv_vals.shape[1]
+    balance = panel["loan_balance"]
+    lagged = balance[:, max(0, idx - cfg.lbg_lag)]
+    price = panel["price"][:, idx]
 
-    dtc = si_level / adv if adv > 0 else math.nan
-    lag_idx = max(0, idx - cfg.lbg_lag)
-    lbg = balance[idx] / balance[lag_idx] if balance[lag_idx] > 0 else math.nan
-
-    factors = DerivedFactors(
-        e_lr=e_lr,
-        sigma_lr=sigma_lr,
-        dtc=dtc,
-        lbg=lbg,
-        ma_si=si_level,
-        ma_la=la_level,
-        si_usd=si_level * price,
-        la_usd=la_level * price,
-        adv=adv,
+    # Each quotient is computed for every row and masked where its
+    # denominator is zero. 0 * inf gives NaN here as it does for floats.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dtc = np.where(adv > 0, si_level / adv, np.nan)
+        lbg = np.where(lagged > 0, balance[:, idx] / lagged, np.nan)
+        premium = e_lr - cfg.rf
+        sentinel = np.select([premium > 0, premium < 0], [np.inf, -np.inf], 0.0)
+        s1 = np.where(sigma_lr == 0, sentinel, premium / sigma_lr)
+        s2 = (si_level / la_level) * s1
+        s3 = dtc * s2
+        s4 = lbg * s3
+    no_s2 = la_level == 0
+    no_s3 = no_s2 | (adv == 0) | np.isnan(dtc)
+    no_s4 = no_s3 | np.isnan(lbg)
+    reason = np.select(
+        [no_s2, no_s3, no_s4], [REASON_ZERO_AVAILABILITY, REASON_ZERO_ADV, REASON_ZERO_LOAN_BALANCE], ""
     )
 
-    s1 = score_one(factors, cfg)
-    s2 = score_two(factors, cfg)
-    s3 = score_three(factors, cfg)
-    s4 = score_four(factors, cfg)
-
-    reason = None
-    if s2 is None:
-        reason = REASON_ZERO_AVAILABILITY
-    elif s3 is None:
-        reason = REASON_ZERO_ADV
-    elif s4 is None:
-        reason = REASON_ZERO_LOAN_BALANCE
-
-    return ShortScoreRow(
-        **base,
-        volume_view=volume_view,
-        score_one=s1,
-        score_two=s2,
-        score_three=s3,
-        score_four=s4,
-        factors=factors,
-        excluded=reason is not None,
-        reason=reason,
+    factors = [
+        DerivedFactors(*values)  # in field order
+        for values in zip(
+            e_lr.tolist(),
+            sigma_lr.tolist(),
+            dtc.tolist(),
+            lbg.tolist(),
+            si_level.tolist(),
+            la_level.tolist(),
+            (si_level * price).tolist(),
+            (la_level * price).tolist(),
+            adv.tolist(),
+        )
+    ]
+    return (
+        volume_view.tolist(),
+        s1.tolist(),
+        _or_none(s2, no_s2),
+        _or_none(s3, no_s3),
+        _or_none(s4, no_s4),
+        factors,
+        no_s4.tolist(),
+        [r or None for r in reason.tolist()],
     )
 
 
 def score_table(dataset: LendingDataset, cfg: ScoreConfig, flavor: str) -> list[ShortScoreRow]:
-    """One row per security in id order, excluded rows flagged in place."""
+    """One row per security in id order, excluded rows flagged in place.
+
+    The whole cross-section is computed at once: every security shares
+    the dataset's calendar, so the as-of day and each window are the same
+    columns of the panel for every row.
+    """
     _check_flavor(flavor)
-    return [_build_row(series, cfg, flavor) for series in dataset.series]
+    ids = dataset.security_ids
+    if not ids:
+        return []
+    panel = dict(zip(VARIABLES, dataset.values))
+    idx = 0 if flavor == "first_day" else len(dataset.dates) - 1
+    as_of = dataset.dates[idx]
+    try:
+        e_lr, sigma_lr = rate_stats(dataset, cfg, as_of, flavor)
+    except InsufficientHistory as exc:
+        unscored = [None] * len(ids)
+        columns = (
+            panel["volume"][:, idx].tolist(),
+            *[unscored] * 5,
+            [True] * len(ids),
+            [f"{REASON_INSUFFICIENT_HISTORY}: {sid}: {exc}" for sid in ids],
+        )
+    else:
+        columns = _scored_columns(panel, cfg, flavor, idx, e_lr, sigma_lr)
+    balance = panel["loan_balance"]
+    return [
+        ShortScoreRow(
+            date=as_of,
+            security_id=sid,
+            flavor=flavor,
+            price=price,
+            volume_view=volume_view,
+            loan_rate=loan_rate,
+            alt_loan_rate=alt_loan_rate,
+            loan_balance_start=start,
+            loan_balance_end=end,
+            score_one=s1,
+            score_two=s2,
+            score_three=s3,
+            score_four=s4,
+            factors=factors,
+            excluded=excluded,
+            reason=reason,
+        )
+        for (sid, price, loan_rate, alt_loan_rate, start, end,
+             volume_view, s1, s2, s3, s4, factors, excluded, reason) in zip(
+            ids,
+            panel["price"][:, idx].tolist(),
+            panel["loan_rate"][:, idx].tolist(),
+            panel["alt_loan_rate"][:, idx].tolist(),
+            balance[:, 0].tolist(),
+            balance[:, -1].tolist(),
+            *columns,
+        )
+    ]
 
 
 # --- score-table CSV interchange -------------------------------------------

@@ -132,22 +132,27 @@ def _profile_map(
 def _first_failure(
     row: ShortScoreRow, profile: SecurityProfile, cfg: FilterConfig
 ) -> str | None:
+    # The checks run in FILTER_ORDER and stop at the first failure. Each is
+    # written "not passes", so that a NaN factor fails its filter.
     assert row.factors is not None
     f = row.factors
     scale = cfg.market_scale.get(profile.market, 1.0)
-    checks = {
-        "min_si_usd": f.si_usd >= cfg.min_si_usd / scale,
-        "min_loan_rate": row.loan_rate >= cfg.min_loan_rate,
-        "min_dtc": f.dtc >= cfg.min_dtc,
-        "min_lbg": f.lbg >= cfg.min_lbg,
-        "max_la_usd": f.la_usd <= cfg.max_la_usd / scale,
-        "min_adv_usd": f.adv * row.price >= cfg.min_adv_usd / scale,
-        "min_buy_rating": profile.buy_rating >= cfg.min_buy_rating,
-        "min_beta": profile.beta >= cfg.min_beta,
-    }
-    for name in FILTER_ORDER:
-        if not checks[name]:
-            return name
+    if not f.si_usd >= cfg.min_si_usd / scale:
+        return "min_si_usd"
+    if not row.loan_rate >= cfg.min_loan_rate:
+        return "min_loan_rate"
+    if not f.dtc >= cfg.min_dtc:
+        return "min_dtc"
+    if not f.lbg >= cfg.min_lbg:
+        return "min_lbg"
+    if not f.la_usd <= cfg.max_la_usd / scale:
+        return "max_la_usd"
+    if not f.adv * row.price >= cfg.min_adv_usd / scale:
+        return "min_adv_usd"
+    if not profile.buy_rating >= cfg.min_buy_rating:
+        return "min_buy_rating"
+    if not profile.beta >= cfg.min_beta:
+        return "min_beta"
     return None
 
 
@@ -211,25 +216,25 @@ def rank(
     if not 0 <= drop_bottom_pct < 100:
         raise ValueError(f"drop_bottom_pct must be in [0, 100), got {drop_bottom_pct}")
 
-    def sort_key(row: ShortScoreRow) -> tuple[int, float, str]:
+    # (premium sign, score) of each row, computed once.
+    keys = []
+    for row in kept:
         value = row.score(score_selector)
         if value is None or math.isnan(value):
             raise ValueError(f"{row.security_id}: score_{score_selector} is not rankable")
-        return (-_premium_sign(row), -value, row.security_id)
-
-    ordered = sorted(kept, key=sort_key)
-    n_drop = math.ceil(len(ordered) * drop_bottom_pct / 100.0)
-    survivors = ordered[: len(ordered) - n_drop]
+        keys.append((_premium_sign(row), float(value)))
+    order = sorted(range(len(kept)), key=lambda i: (-keys[i][0], -keys[i][1], kept[i].security_id))
+    n_drop = math.ceil(len(order) * drop_bottom_pct / 100.0)
     flavor = kept[0].flavor
     return [
         RankedSecurity(
-            security_id=row.security_id,
-            rank=i + 1,
-            rank_key=(_premium_sign(row), float(row.score(score_selector))),
+            security_id=kept[i].security_id,
+            rank=position + 1,
+            rank_key=keys[i],
             score_flavor_used=flavor,
             filter_trace=FILTER_ORDER,
         )
-        for i, row in enumerate(survivors)
+        for position, i in enumerate(order[: len(order) - n_drop])
     ]
 
 

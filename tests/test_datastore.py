@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import shortbasket
 from shortbasket.config import DEFAULT_SEED_RANGES
 from shortbasket.datastore import (
     OBSERVATIONS_FILENAME,
@@ -302,3 +306,30 @@ def test_atomic_write_file_mode_follows_umask(tmp_path):
     finally:
         os.umask(umask)
     assert (tmp_path / "out.csv").stat().st_mode & 0o777 == 0o644
+
+
+@pytest.mark.parametrize("security_id", ["A\rB", "A\nB"])
+def test_dataset_rejects_line_break_in_id(security_id):
+    # csv.writer leaves an id with a bare \r unquoted, and ingest would
+    # then split its row in two
+    with pytest.raises(ValueError, match="line break"):
+        dataset_from_series(series_from_columns(security_id, 3))
+
+
+def test_ingest_rejects_quoted_line_break_in_profile_id(tmp_path):
+    write_dataset_dir(
+        tmp_path,
+        ['2021-01-04,"A\rB",100.0,1000.0,2000.0,500.0,1e6,0.05,0.06'],
+        ['"A\rB",JP,4.0,1.5'],
+    )
+    with pytest.raises(ValueError, match=r"profiles\.csv: row 2: .*line break"):
+        ingest_csv(tmp_path)
+
+
+def test_import_does_not_load_orjson():
+    # orjson is loaded by the CSV codec when it first runs, not by import
+    src = str(Path(shortbasket.__file__).resolve().parents[1])
+    code = "import sys, shortbasket, shortbasket.cli; print('orjson' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout.strip() == "False"

@@ -80,6 +80,29 @@ class TestApplyFilters:
         _, excluded = apply_filters([row], [profile], DEFAULTS)
         assert excluded[0].reason == "min_si_usd"
 
+    def test_reasons_follow_filter_order(self):
+        # a row failing every filter; mended one filter at a time in
+        # FILTER_ORDER, it must report each next filter in turn
+        remaining = {
+            "min_si_usd": ("si_usd", 1.0),
+            "min_loan_rate": ("loan_rate", 0.0),
+            "min_dtc": ("dtc", float("nan")),
+            "min_lbg": ("lbg", 0.0),
+            "max_la_usd": ("la_usd", 1e12),
+            "min_adv_usd": ("adv", 0.0),
+            "min_buy_rating": ("buy_rating", 1.0),
+            "min_beta": ("beta", 0.0),
+        }
+        assert tuple(remaining) == FILTER_ORDER
+        for name in FILTER_ORDER:
+            bad = dict(remaining.values())
+            profile = make_profile("SEC0001", **{k: bad.pop(k) for k in ("buy_rating", "beta") if k in bad})
+            row = make_row("SEC0001", loan_rate=bad.pop("loan_rate", 0.05),
+                           factor_overrides={"adv": 300_000.0, **bad})
+            _, excluded = apply_filters([row], [profile], DEFAULTS)
+            assert excluded[0].reason == name
+            del remaining[name]
+
     def test_each_threshold_reports_itself(self):
         cases = {
             "min_si_usd": dict(si_usd=5e6),
