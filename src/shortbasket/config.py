@@ -152,7 +152,10 @@ class RunConfig:
 def _pair(raw: Any, context: str) -> tuple[float, float]:
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise ConfigError(f"{context} must be a [min, max] pair, got {raw!r}")
-    return float(raw[0]), float(raw[1])
+    try:
+        return float(raw[0]), float(raw[1])
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{context} must be a pair of numbers, got {raw!r}") from None
 
 
 def _seed_range_from_dict(name: str, raw: Mapping[str, Any]) -> SimulationSeedRange:

@@ -53,6 +53,18 @@ class TestSimulate:
         assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert len((out / "observations.csv").read_text().splitlines()) == 13
 
+    @pytest.mark.parametrize("block, named", [
+        ('{"start": [10.0, 1e309], "drift": [0.0, 0.1], "vol": [0.1, 0.2]}', "price: start_max"),
+        ('{"start": [10.0, 20.0], "drift": [NaN, 0.15], "vol": [0.1, 0.2]}', "price: drift_min"),
+    ])
+    def test_non_finite_seed_range_exits_one(self, tmp_path, capsys, block, named):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"n_securities": 2, "n_days": 3, "seed_ranges": {"price": ' + block + "}}")
+        assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not (tmp_path / "x").exists()
+
     def test_bad_config_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text("{bad")

@@ -82,6 +82,17 @@ def test_invalid_values_surface_as_config_errors(tmp_path):
         load_run_config(path)
 
 
+@pytest.mark.parametrize(
+    "pair", ["[10, 1" + "0" * 400 + "]", "[null, 5]", '["a", 5]'], ids=["huge_int", "null", "text"]
+)
+def test_unreadable_range_bound_is_a_config_error(tmp_path, pair):
+    # a bound float() cannot read names its slot instead of escaping as a traceback
+    path = tmp_path / "run.json"
+    path.write_text('{"seed_ranges": {"price": {"start": ' + pair + ', "drift": [0, 0.1], "vol": [0.1, 0.2]}}}')
+    with pytest.raises(ConfigError, match=r"seed_ranges\['price'\]\.start"):
+        load_run_config(path)
+
+
 def test_missing_file_reported():
     with pytest.raises(ConfigError, match="not found"):
         load_run_config("/nonexistent/run.json")

@@ -56,3 +56,28 @@ def test_master_seed_range_validated(seed):
 def test_negative_substream_index_rejected():
     with pytest.raises(ValueError):
         NoiseStream(0, (-1,))
+
+
+@pytest.mark.parametrize("seed", [1.5, 3.0, "3", None])
+def test_non_integer_master_seed_rejected_at_construction(seed):
+    with pytest.raises(TypeError):
+        NoiseStream(seed)
+
+
+@pytest.mark.parametrize("key", [(1.5,), (0, 2.0), ("1",)])
+def test_non_integer_substream_index_rejected_at_construction(key):
+    with pytest.raises(TypeError):
+        NoiseStream(0, key)
+
+
+def test_child_rejects_non_integer_index():
+    with pytest.raises(TypeError):
+        NoiseStream(0, (1,)).child(0.5)
+
+
+def test_numpy_integers_accepted_and_normalised():
+    stream = NoiseStream(np.uint64(7), [np.int64(3), np.uint8(1)])
+    assert stream == NoiseStream(7, (3, 1))
+    assert type(stream.master_seed) is int
+    assert stream.substream_id == (3, 1)
+    assert all(type(i) is int for i in stream.substream_id)

@@ -59,6 +59,17 @@ class TestSeedRange:
         # the folded-normal channel may leave the start slot at zero
         SimulationSeedRange("loan_balance", 0.0, 0.0, 1e6, 5e7, 5e5, 2e7)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("slot", ["start_min", "start_max", "drift_min", "drift_max", "vol_min", "vol_max"])
+    def test_non_finite_bound_rejected_naming_variable_and_slot(self, slot, bad):
+        with pytest.raises(ValueError, match=f"price: {slot}"):
+            gbm_range(**{slot: bad})
+
+    def test_interval_wider_than_a_double_rejected(self):
+        # numpy's uniform cannot draw from an interval whose width overflows.
+        with pytest.raises(ValueError, match="drift_max - drift_min"):
+            gbm_range(drift_min=-1e308, drift_max=1e308)
+
     def test_unknown_variable_rejected(self):
         with pytest.raises(ValueError):
             gbm_range(variable="spread")
