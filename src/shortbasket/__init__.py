@@ -21,9 +21,9 @@ from .portfolio import PortfolioAllocation, construct, rebalance, variance_penal
 from .rng import NoiseStream
 from .scoring import (
     DerivedFactors,
-    FactorWeights,
     ScoreConfig,
-    ShortScoreRow,
+    ScoreRow,
+    ScoreTable,
     moving_average,
     rate_stats,
     score_four,
@@ -32,10 +32,8 @@ from .scoring import (
     score_three,
     score_two,
     sharpe_like,
-    weighted_score,
-    weighted_scores,
 )
-from .screener import FilterConfig, RankedSecurity, apply_filters, rank, rank_stability
+from .screener import FilterConfig, RankedSecurity, Ranking, apply_filters, rank, rank_stability
 from .simulate import (
     FoldedNormalParams,
     GbmParams,
@@ -50,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DerivedFactors",
-    "FactorWeights",
     "FilterConfig",
     "FoldedNormalParams",
     "GbmParams",
@@ -59,12 +56,14 @@ __all__ = [
     "PathStats",
     "PortfolioAllocation",
     "RankedSecurity",
+    "Ranking",
     "RunConfig",
     "ScenarioResult",
     "ScoreConfig",
+    "ScoreRow",
+    "ScoreTable",
     "SecurityProfile",
     "SecuritySeries",
-    "ShortScoreRow",
     "SimulationSeedRange",
     "apply_filters",
     "construct",
@@ -89,6 +88,4 @@ __all__ = [
     "simulate_gbm",
     "simulate_universe",
     "variance_penalized_weights",
-    "weighted_score",
-    "weighted_scores",
 ]

@@ -87,10 +87,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     flavor_flags = args.flavor or ["ma"]
     for flag in flavor_flags:
         flavor = _FLAVOR_BY_FLAG[flag]
-        rows = scoring.score_table(dataset, score_cfg, flavor)
-        path = scoring.write_score_csv(rows, out_dir / f"scores_{flavor}.csv")
-        n_excluded = sum(1 for r in rows if r.excluded)
-        print(f"wrote {path} ({len(rows)} rows, {n_excluded} excluded)")
+        table = scoring.score_table(dataset, score_cfg, flavor)
+        path = scoring.write_score_csv(table, out_dir / f"scores_{flavor}.csv")
+        print(f"wrote {path} ({len(table)} rows, {int(table.excluded.sum())} excluded)")
     return 0
 
 
@@ -128,22 +127,23 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
     scores_path = Path(args.scores)
     flavor = _FLAVOR_BY_FLAG[args.flavor] if args.flavor else _flavor_from_scores_path(scores_path)
-    rows = scoring.read_score_csv(scores_path, flavor)
+    table = scoring.read_score_csv(scores_path, flavor)
     profiles = load_profiles(args.profiles)
 
-    kept, excluded = screener.apply_filters(rows, profiles, filter_cfg)
+    kept, excluded = screener.apply_filters(table, profiles, filter_cfg)
     ranked = screener.rank(kept, args.score, drop_pct)
-    surviving = {r.security_id for r in ranked}
-    dropped = [r for r in kept if r.security_id not in surviving]
+    surviving = set(ranked.security_ids)
+    dropped = [sid for sid in kept.security_ids if sid not in surviving]
 
     out_dir = Path(args.out)
+    trace = "|".join(screener.FILTER_ORDER)
     _write_rows(
         out_dir / "ranking.csv",
         ("rank", "security_id", "score", "filter_trace"),
-        [[str(r.rank), r.security_id, repr(r.score), "|".join(r.filter_trace)] for r in ranked],
+        [[str(r.rank), r.security_id, repr(r.score), trace] for r in ranked],
     )
     exclusion_rows = [[e.security_id, e.reason] for e in excluded]
-    exclusion_rows += [[r.security_id, "drop_bottom_pct"] for r in dropped]
+    exclusion_rows += [[sid, "drop_bottom_pct"] for sid in dropped]
     exclusion_rows.sort()
     _write_rows(out_dir / "excluded.csv", ("security_id", "reason"), exclusion_rows)
     print(
@@ -154,20 +154,14 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_portfolio(args: argparse.Namespace) -> int:
-    ranked = []
     with open(args.ranking, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for raw in reader:
-            score = float(raw["score"])
-            ranked.append(
-                screener.RankedSecurity(
-                    security_id=raw["security_id"],
-                    rank=int(raw["rank"]),
-                    rank_key=(1 if score > 0 else (-1 if score < 0 else 0), score),
-                    score_flavor_used="file",
-                    filter_trace=tuple(raw.get("filter_trace", "").split("|")),
-                )
-            )
+        rows = list(csv.DictReader(fh))
+    scores = tuple(float(raw["score"]) for raw in rows)
+    ranked = screener.Ranking(
+        security_ids=tuple(raw["security_id"] for raw in rows),
+        scores=scores,
+        premium_signs=tuple((s > 0) - (s < 0) for s in scores),
+    )
     allocation = portfolio_mod.construct(ranked, args.top, args.cap)
     out_dir = Path(args.out)
     _write_rows(

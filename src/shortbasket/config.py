@@ -158,6 +158,15 @@ def _pair(raw: Any, context: str) -> tuple[float, float]:
         raise ConfigError(f"{context} must be a pair of numbers, got {raw!r}") from None
 
 
+def _integer(raw: Any, key: str) -> int:
+    """``raw`` as an int: an integer, or a float with an integral value such as 60.0."""
+    # bool is an int subclass, but a JSON true is not a count.
+    integral = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
+    if isinstance(raw, bool) or not integral:
+        raise ConfigError(f"{key} must be an integer, got {raw!r}")
+    return int(raw)
+
+
 def _seed_range_from_dict(name: str, raw: Mapping[str, Any]) -> SimulationSeedRange:
     unknown = set(raw) - {"start", "drift", "vol"}
     if unknown:
@@ -199,7 +208,7 @@ def run_config_from_dict(data: Mapping[str, Any]) -> RunConfig:
     kwargs: dict[str, Any] = {}
     for key in ("master_seed", "n_securities", "n_days"):
         if key in data:
-            kwargs[key] = int(data[key])
+            kwargs[key] = _integer(data[key], key)
     if "start_date" in data:
         try:
             kwargs["start_date"] = dt.date.fromisoformat(str(data["start_date"]))
@@ -223,6 +232,9 @@ def run_config_from_dict(data: Mapping[str, Any]) -> RunConfig:
 
     scoring_raw = dict(data.get("scoring") or {})
     _check_keys(scoring_raw, {f.name for f in fields(ScoreConfig)}, "scoring")
+    for key in ("ma_window", "vol_window", "lbg_lag"):
+        if key in scoring_raw:
+            scoring_raw[key] = _integer(scoring_raw[key], f"scoring.{key}")
     try:
         kwargs["scoring"] = ScoreConfig(**scoring_raw)
     except ValueError as exc:
@@ -246,7 +258,7 @@ def run_config_from_dict(data: Mapping[str, Any]) -> RunConfig:
     portfolio_raw = dict(data.get("portfolio") or {})
     _check_keys(portfolio_raw, {"top_m", "cap", "rebalance_threshold"}, "portfolio")
     if "top_m" in portfolio_raw:
-        kwargs["top_m"] = int(portfolio_raw["top_m"])
+        kwargs["top_m"] = _integer(portfolio_raw["top_m"], "portfolio.top_m")
     if "cap" in portfolio_raw:
         kwargs["cap"] = float(portfolio_raw["cap"])
     if "rebalance_threshold" in portfolio_raw:

@@ -19,9 +19,10 @@ Dates are ISO-8601, decimals use ``.``. A float is written as Python's
 shortest round-trip ``repr()`` text, so values round-trip exactly and
 identical datasets always produce identical bytes. observations.csv
 gets that text in bulk: orjson formats each security's block of values
-in one call, and blocks whose values lie outside the range where its
-text equals ``repr()`` are formatted by ``repr()``. Export orders rows
-by (security_id, date) and streams them to the file one security at a
+in one call, and rows holding a value outside the range where its text
+equals ``repr()`` are formatted by ``repr()``; the score-table writer
+shares this codec (``float_rows_text``). Export orders rows by
+(security_id, date) and streams them to the file one security at a
 time.
 
 Ingest reads observations.csv in chunks of whole lines and parses the
@@ -246,23 +247,58 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[: -len(",x\n")]
 
 
-def _observation_text(dataset: LendingDataset) -> Iterator[str]:
-    """observations.csv as chunks: the header, then the rows of one security at a time."""
+def csv_fields(texts: Sequence[str]) -> list[str]:
+    """Each text as csv.writer writes it as one field of a row of several."""
+    distinct = set(texts)
+    # csv.writer quotes a field only for a delimiter, a quote or a line
+    # break in it, and leaves every other field as it is; csv.writer itself
+    # formats those fields, and any with a NUL.
+    if not any(c in "".join(distinct) for c in ',"\r\n\0'):
+        return list(texts)
+    quoted = {text: _csv_field(text) for text in distinct}
+    return [quoted[text] for text in texts]
+
+
+def float_rows_text(block: np.ndarray, blank: np.ndarray | None = None) -> list[str]:
+    """The rows of a 2-D float block as CSV text: each value as ``repr()`` writes it, comma-separated.
+
+    Cells marked in ``blank`` are written empty. orjson formats, in one
+    call, every row whose values all lie where its text equals ``repr()``;
+    ``repr()`` formats the other rows, non-finite values included.
+    """
     # Imported here and in _parse_lines, not with the module: a process
-    # that reads and writes no observations.csv does not load orjson.
+    # that reads and writes no CSV values does not load orjson.
     import orjson
 
+    magnitude = np.abs(block)
+    plain = (magnitude == 0) | ((magnitude >= _ORJSON_REPR_MIN) & (magnitude < _ORJSON_REPR_MAX))
+    if blank is not None:
+        plain &= ~blank
+    regular = plain.all(axis=1)
+    if regular.all():
+        if not len(block):
+            return []
+        # "[[a,b,...],[c,d,...]]": one list per row.
+        nested = orjson.dumps(np.ascontiguousarray(block), option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        return nested[2:-2].split("],[")
+    texts = [""] * len(block)
+    if regular.any():
+        nested = orjson.dumps(block[regular], option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        for i, text in zip(np.flatnonzero(regular).tolist(), nested[2:-2].split("],[")):
+            texts[i] = text
+    if blank is None:
+        blank = np.zeros(block.shape, dtype=bool)
+    for i in np.flatnonzero(~regular).tolist():
+        texts[i] = ",".join(["" if b else repr(v) for v, b in zip(block[i].tolist(), blank[i].tolist())])
+    return texts
+
+
+def _observation_text(dataset: LendingDataset) -> Iterator[str]:
+    """observations.csv as chunks: the header, then the rows of one security at a time."""
     yield ",".join(OBSERVATION_COLUMNS) + "\n"
     date_fields = [f"{d.isoformat()}," for d in dataset.dates]
     for i, security_id in enumerate(dataset.security_ids):
-        block = np.ascontiguousarray(dataset.values[:, i].T)
-        magnitude = np.abs(block)
-        if np.all((magnitude == 0) | ((magnitude >= _ORJSON_REPR_MIN) & (magnitude < _ORJSON_REPR_MAX))):
-            # "[[a,b,...],[c,d,...]]": one list of seven values per day.
-            nested = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-            days = nested[2:-2].split("],[")
-        else:
-            days = [",".join(map(repr, day)) for day in block.tolist()]
+        days = float_rows_text(dataset.values[:, i].T)
         prefix = _csv_field(security_id) + ","
         yield "".join([date + prefix + day + "\n" for date, day in zip(date_fields, days)])
 

@@ -37,10 +37,6 @@ class InsufficientHistory(ShortBasketError):
     """Not enough observations to evaluate a windowed statistic."""
 
 
-class DegenerateCrossSection(ShortBasketError):
-    """A factor has zero dispersion across the evaluation universe."""
-
-
 class EmptyAfterFilters(ShortBasketError):
     """Ranking was requested on an empty post-filter universe."""
 

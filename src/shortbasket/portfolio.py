@@ -10,6 +10,9 @@ no weight violates the cap. Each pass permanently caps at least one
 security, so the loop ends within M passes at the unique fixed point
 u_i = min(cap, lambda * SS_i) with the weights summing to one.
 
+The selection is read straight from a :class:`~shortbasket.screener.Ranking`:
+its first M ids and their scores, with no per-security object between.
+
 Rebalancing is gated: if the basket membership is unchanged and no
 holding's score moved by more than the relative threshold, the current
 allocation is returned untouched.
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import InfeasibleCap, InsufficientHistory, NonFiniteScore, NonPositiveScore
-from .screener import RankedSecurity
+from .screener import Ranking
 
 SUM_TOL = 1e-9
 CAP_TOL = 1e-12
@@ -97,21 +100,20 @@ def _validate_selection(scores: Sequence[float], cap: float) -> None:
 
 
 def construct(
-    ranked: Sequence[RankedSecurity],
+    ranked: Ranking,
     top_m: int,
     cap: float,
     as_of: dt.date | None = None,
 ) -> PortfolioAllocation:
-    """Build a capped, score-proportional allocation from a ranking."""
+    """Build a capped, score-proportional allocation from a ranking's first ``top_m`` entries."""
     if top_m < 1:
         raise ValueError(f"top_m must be >= 1, got {top_m}")
-    selected = list(ranked[:top_m])
-    scores = [r.score for r in selected]
+    scores = list(ranked.scores[:top_m])
     _validate_selection(scores, cap)
     weights = _cap_and_redistribute(scores, cap)
     return PortfolioAllocation(
         as_of=as_of,
-        holdings=tuple((r.security_id, w) for r, w in zip(selected, weights)),
+        holdings=tuple(zip(ranked.security_ids[:top_m], weights)),
         scores=tuple(scores),
         cap=cap,
     )
@@ -119,7 +121,7 @@ def construct(
 
 def rebalance(
     current: PortfolioAllocation,
-    new_ranked: Sequence[RankedSecurity],
+    new_ranked: Ranking,
     threshold: float,
     as_of: dt.date | None = None,
 ) -> tuple[PortfolioAllocation, bool]:
@@ -131,9 +133,8 @@ def rebalance(
     """
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    new_top = list(new_ranked[: current.size])
-    if {r.security_id for r in new_top} == {sid for sid, _ in current.holdings}:
-        new_scores = {r.security_id: r.score for r in new_top}
+    new_scores = dict(zip(new_ranked.security_ids[: current.size], new_ranked.scores))
+    if set(new_scores) == {sid for sid, _ in current.holdings}:
         changes = [
             abs(new_scores[sid] - old) / abs(old)
             for (sid, _), old in zip(current.holdings, current.scores)
@@ -145,7 +146,7 @@ def rebalance(
 
 
 def variance_penalized_weights(
-    ranked: Sequence[RankedSecurity],
+    ranked: Ranking,
     score_history: Mapping[str, Sequence[float]],
     top_m: int,
     cap: float,
@@ -159,16 +160,16 @@ def variance_penalized_weights(
     """
     if top_m < 1:
         raise ValueError(f"top_m must be >= 1, got {top_m}")
-    selected = list(ranked[:top_m])
-    scores = [r.score for r in selected]
+    selected = ranked.security_ids[:top_m]
+    scores = list(ranked.scores[:top_m])
     _validate_selection(scores, cap)
 
     variances = []
-    for r in selected:
-        history = score_history.get(r.security_id, ())
+    for security_id in selected:
+        history = score_history.get(security_id, ())
         if len(history) < 2:
             raise InsufficientHistory(
-                f"{r.security_id}: need >= 2 historical score snapshots, have {len(history)}"
+                f"{security_id}: need >= 2 historical score snapshots, have {len(history)}"
             )
         mean = math.fsum(history) / len(history)
         variances.append(math.fsum((h - mean) ** 2 for h in history) / (len(history) - 1))
@@ -181,7 +182,7 @@ def variance_penalized_weights(
     weights = _cap_and_redistribute(raw, cap)
     return PortfolioAllocation(
         as_of=as_of,
-        holdings=tuple((r.security_id, w) for r, w in zip(selected, weights)),
+        holdings=tuple(zip(selected, weights)),
         scores=tuple(scores),
         cap=cap,
     )

@@ -24,9 +24,17 @@ the flavor's short-interest level by the 20-day average volume, the same
 average the liquidity filter quotes in USD.
 
 Division multipliers with zero denominators never leak infinities into
-a table: the row is flagged excluded with a machine-readable reason. A
-zero rate standard deviation, by contrast, is a legitimate score-one
-outcome and maps to a signed infinity sentinel.
+a table: the row is flagged excluded with a machine-readable reason, and
+the scores it lacks are left empty. A zero rate standard deviation, by
+contrast, is a legitimate score-one outcome and maps to a signed
+infinity sentinel. The reasons, in the order they are checked:
+
+* ``insufficient_history`` - fewer than two rates in the volatility
+  window; the row has no factors and no scores,
+* ``zero_availability``, ``zero_adv``, ``zero_loan_balance`` - the
+  denominator of score two, three or four is zero,
+* ``undefined_score`` - a score is NaN, as when an infinite score one
+  meets zero short interest (``0 * inf``); the NaN scores are kept.
 
 A table is computed for the whole cross-section at once. Every security
 shares the dataset's calendar, so the as-of day and each window are the
@@ -36,22 +44,35 @@ is an exactly rounded ``math.fsum`` of its row and each squared
 deviation a Python ``**``, so a security's figures are those of scoring
 it alone, whatever panel it sits in. ``moving_average`` and
 ``rate_stats`` accept a single series or a panel.
+
+The result is a :class:`ScoreTable`: the as-of date, the flavor, the id
+tuple and one float64 array per numeric column of the score-table CSV,
+with a mask of the cells left empty, the exclusion flags and reasons.
+No per-security object is built; iterating a table yields lightweight
+:class:`ScoreRow` tuples of Python values. ``write_score_csv`` and
+``read_score_csv`` share the one schema, ``SCORE_CSV_COLUMNS``.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .datastore import VARIABLES, LendingDataset, SecuritySeries, atomic_write_text
-from .errors import DegenerateCrossSection, EmptySeries, InsufficientHistory, SchemaError
+from .datastore import (
+    VARIABLES,
+    LendingDataset,
+    SecuritySeries,
+    atomic_write_text,
+    csv_fields,
+    float_rows_text,
+)
+from .errors import EmptySeries, InsufficientHistory, SchemaError
 
 FLAVORS = ("ma", "first_day", "last_day")
 ADV_WINDOW = 20  # trading days behind every average-daily-volume figure
@@ -61,6 +82,7 @@ REASON_INSUFFICIENT_HISTORY = "insufficient_history"
 REASON_ZERO_AVAILABILITY = "zero_availability"
 REASON_ZERO_ADV = "zero_adv"
 REASON_ZERO_LOAN_BALANCE = "zero_loan_balance"
+REASON_UNDEFINED_SCORE = "undefined_score"
 
 
 @dataclass(frozen=True)
@@ -88,39 +110,14 @@ class ScoreConfig:
 
 
 @dataclass(frozen=True)
-class FactorWeights:
-    """Weights of the five-factor weighted total score; must sum to 1."""
-
-    w_si: float = 0.2
-    w_lr: float = 0.2
-    w_dtc: float = 0.2
-    w_lbg: float = 0.2
-    w_ila: float = 0.2
-
-    def __post_init__(self) -> None:
-        total = self.w_si + self.w_lr + self.w_dtc + self.w_lbg + self.w_ila
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"factor weights must sum to 1, got {total}")
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "si_usd": self.w_si,
-            "e_lr": self.w_lr,
-            "dtc": self.w_dtc,
-            "lbg": self.w_lbg,
-            "ila": self.w_ila,
-        }
-
-
-@dataclass(frozen=True)
 class DerivedFactors:
-    """Per-security inputs shared by the scores and the filters.
+    """One security's inputs to the scalar score functions.
 
     ``ma_si``/``ma_la`` hold the flavor's level view (moving average for
     the ``ma`` flavor, single-day value otherwise). ``adv`` is the
     20-day average volume in shares. ``dtc`` and ``lbg`` are NaN when
-    their denominators are zero; rows carrying NaN factors are excluded
-    before they can reach a ranking.
+    their denominators are zero. :func:`score_table` computes the same
+    quantities as columns of a :class:`ScoreTable`.
     """
 
     e_lr: float
@@ -134,32 +131,126 @@ class DerivedFactors:
     adv: float
 
 
-@dataclass(frozen=True)
-class ShortScoreRow:
-    """One security's scores and factor snapshot on an evaluation date."""
+class ScoreRow(NamedTuple):
+    """One line of a score table as Python values; None marks an empty cell.
+
+    The fields are the score-table CSV columns, in file order. The
+    leading columns mirror the presentation layout (price, level views,
+    rates, rate volatility, first/last loan balance, four scores,
+    exclusion flag); the trailing e_lr/dtc/lbg/adv columns carry the
+    remaining factor state, so the screener stage can run from the file
+    alone.
+    """
 
     date: dt.date
     security_id: str
-    flavor: str
     price: float
-    volume_view: float
+    availability: float | None
+    short_interest: float | None
+    volume: float
     loan_rate: float
     alt_loan_rate: float
+    rate_volatility: float | None
     loan_balance_start: float
     loan_balance_end: float
     score_one: float | None
     score_two: float | None
     score_three: float | None
     score_four: float | None
-    factors: DerivedFactors | None
     excluded: bool
     reason: str | None
+    e_lr: float | None
+    dtc: float | None
+    lbg: float | None
+    adv: float | None
 
-    def score(self, selector: str) -> float | None:
-        try:
-            return getattr(self, f"score_{selector}")
-        except AttributeError:
-            raise ValueError(f"unknown score selector {selector!r}") from None
+
+SCORE_CSV_COLUMNS = ScoreRow._fields
+# The numeric columns, in file order: one row each of ScoreTable.values.
+SCORE_VALUE_COLUMNS = tuple(
+    c for c in SCORE_CSV_COLUMNS if c not in ("date", "security_id", "excluded", "reason")
+)
+_VALUE_INDEX = {name: k for k, name in enumerate(SCORE_VALUE_COLUMNS)}
+# Columns every row fills; the others stay empty where a row was not scored that far.
+_REQUIRED_COLUMNS = ("price", "volume", "loan_rate", "alt_loan_rate", "loan_balance_start", "loan_balance_end")
+SCORE_SELECTORS = ("one", "two", "three", "four")
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreTable:
+    """One flavor's scores for a cross-section at one as-of date, one array per column.
+
+    ``values[k]`` holds column ``SCORE_VALUE_COLUMNS[k]`` of every
+    security, in ``security_ids`` order. ``missing[k]`` marks the cells
+    left empty because a row was not scored that far; their value is
+    NaN. A NaN that is not missing is a computed NaN factor or score.
+    ``reasons`` holds each row's exclusion reason, ``""`` for a row that
+    is not excluded. ``date`` is None only for a table without rows.
+
+    Iterating a table yields one :class:`ScoreRow` per security. The
+    table takes ownership of its arrays and makes them read-only.
+    """
+
+    date: dt.date | None
+    flavor: str
+    security_ids: tuple[str, ...]
+    values: np.ndarray = field(repr=False)
+    missing: np.ndarray = field(repr=False)
+    excluded: np.ndarray = field(repr=False)
+    reasons: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        shape = (len(SCORE_VALUE_COLUMNS), len(self.security_ids))
+        if self.values.shape != shape or self.missing.shape != shape:
+            raise ValueError(f"values and missing must have shape {shape}")
+        if self.excluded.shape != shape[1:] or self.reasons.shape != shape[1:]:
+            raise ValueError(f"excluded and reasons must have shape {shape[1:]}")
+        if self.date is None and self.security_ids:
+            raise ValueError("a score table with rows needs an as-of date")
+        for array in (self.values, self.missing, self.excluded, self.reasons):
+            array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.security_ids)
+
+    def __iter__(self) -> Iterator[ScoreRow]:
+        columns = dict(zip(SCORE_VALUE_COLUMNS, np.where(self.missing, None, self.values).tolist()))
+        columns.update(
+            date=[self.date] * len(self),
+            security_id=self.security_ids,
+            excluded=self.excluded.tolist(),
+            reason=[reason or None for reason in self.reasons.tolist()],
+        )
+        return map(ScoreRow, *(columns[name] for name in SCORE_CSV_COLUMNS))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScoreTable):
+            return NotImplemented
+        return (
+            self.date == other.date
+            and self.flavor == other.flavor
+            and self.security_ids == other.security_ids
+            and np.array_equal(self.values, other.values, equal_nan=True)
+            and np.array_equal(self.missing, other.missing)
+            and np.array_equal(self.excluded, other.excluded)
+            and self.reasons.tolist() == other.reasons.tolist()
+        )
+
+    def column(self, name: str) -> np.ndarray:
+        """Read-only values of one numeric column, NaN where a cell is missing."""
+        return self.values[_VALUE_INDEX[name]]
+
+    def take(self, rows: np.ndarray) -> "ScoreTable":
+        """The table of the given row positions, in that order."""
+        return ScoreTable(
+            date=self.date,
+            flavor=self.flavor,
+            security_ids=tuple([self.security_ids[i] for i in rows.tolist()]),
+            values=self.values[:, rows],
+            missing=self.missing[:, rows],
+            excluded=self.excluded[rows],
+            reasons=self.reasons[rows],
+        )
 
 
 def _row_fsums(block: np.ndarray) -> np.ndarray:
@@ -299,74 +390,9 @@ def score_four(factors: DerivedFactors, cfg: ScoreConfig) -> float | None:
     return factors.lbg * base
 
 
-FACTOR_KEYS = ("si_usd", "e_lr", "dtc", "lbg", "ila")
-
-
-def _factor_value(factors: DerivedFactors, key: str) -> float:
-    if key == "ila":
-        if factors.la_usd == 0:
-            raise ValueError("inverse availability undefined: la_usd is 0 (exclude the row first)")
-        return 1.0 / factors.la_usd
-    return getattr(factors, key)
-
-
-def factor_normalization(
-    table: Sequence[DerivedFactors],
-) -> dict[str, tuple[float, float]]:
-    """Cross-sectional (mean, std) per factor for z-scoring.
-
-    Raises DegenerateCrossSection when any factor has zero dispersion
-    across the table, since a z-score is then undefined.
-    """
-    if not table:
-        raise ValueError("factor table is empty")
-    norms: dict[str, tuple[float, float]] = {}
-    for key in FACTOR_KEYS:
-        values = [_factor_value(f, key) for f in table]
-        if any(not math.isfinite(v) for v in values):
-            raise ValueError(f"factor {key!r} has non-finite values; exclude those rows first")
-        mean = math.fsum(values) / len(values)
-        std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
-        if std == 0:
-            raise DegenerateCrossSection(f"factor {key!r} has zero cross-sectional dispersion")
-        norms[key] = (mean, std)
-    return norms
-
-
-def weighted_score(
-    factors: DerivedFactors,
-    weights: FactorWeights,
-    normalization: Mapping[str, tuple[float, float]],
-) -> float:
-    """Weighted sum of cross-sectionally z-scored factors.
-
-    The five factors (SI in USD, expected rate, days-to-cover, balance
-    growth, inverse availability in USD) live on incommensurable scales,
-    so each is standardized against the evaluation date's cross-section
-    before weighting.
-    """
-    total = 0.0
-    for key, weight in weights.as_dict().items():
-        mean, std = normalization[key]
-        total += weight * ((_factor_value(factors, key) - mean) / std)
-    return total
-
-
-def weighted_scores(
-    table: Sequence[DerivedFactors], weights: FactorWeights
-) -> list[float]:
-    """Weighted totals for a whole cross-section."""
-    norms = factor_normalization(table)
-    return [weighted_score(f, weights, norms) for f in table]
-
-
 def _check_flavor(flavor: str) -> None:
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
-
-
-def _or_none(values: np.ndarray, missing: np.ndarray) -> list[float | None]:
-    return np.where(missing, None, values).tolist()
 
 
 def _scored_columns(
@@ -376,8 +402,8 @@ def _scored_columns(
     idx: int,
     e_lr: np.ndarray,
     sigma_lr: np.ndarray,
-) -> tuple[list, ...]:
-    """``(volume_view, score_one .. score_four, factors, excluded, reason)``, one list entry per security."""
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
+    """``(columns, blank cells, reasons)`` of a scored cross-section, one entry per security."""
     levels = ("short_interest", "availability", "volume")
     if flavor == "ma":
         si_level, la_level, volume_view = (moving_average(panel[v], cfg.ma_window) for v in levels)
@@ -387,7 +413,6 @@ def _scored_columns(
     adv = _row_fsums(adv_vals) / adv_vals.shape[1]
     balance = panel["loan_balance"]
     lagged = balance[:, max(0, idx - cfg.lbg_lag)]
-    price = panel["price"][:, idx]
 
     # Each quotient is computed for every row and masked where its
     # denominator is zero. 0 * inf gives NaN here as it does for floats.
@@ -403,37 +428,31 @@ def _scored_columns(
     no_s2 = la_level == 0
     no_s3 = no_s2 | (adv == 0) | np.isnan(dtc)
     no_s4 = no_s3 | np.isnan(lbg)
-    reason = np.select(
-        [no_s2, no_s3, no_s4], [REASON_ZERO_AVAILABILITY, REASON_ZERO_ADV, REASON_ZERO_LOAN_BALANCE], ""
-    )
-
-    factors = [
-        DerivedFactors(*values)  # in field order
-        for values in zip(
-            e_lr.tolist(),
-            sigma_lr.tolist(),
-            dtc.tolist(),
-            lbg.tolist(),
-            si_level.tolist(),
-            la_level.tolist(),
-            (si_level * price).tolist(),
-            (la_level * price).tolist(),
-            adv.tolist(),
-        )
-    ]
-    return (
-        volume_view.tolist(),
-        s1.tolist(),
-        _or_none(s2, no_s2),
-        _or_none(s3, no_s3),
-        _or_none(s4, no_s4),
-        factors,
-        no_s4.tolist(),
-        [r or None for r in reason.tolist()],
-    )
+    undefined = np.isnan([s1, s2, s3, s4]).any(axis=0)
+    reasons = np.select(
+        [no_s2, no_s3, no_s4, undefined],
+        [REASON_ZERO_AVAILABILITY, REASON_ZERO_ADV, REASON_ZERO_LOAN_BALANCE, REASON_UNDEFINED_SCORE],
+        "",
+    ).astype(object)
+    columns = {
+        "availability": la_level,
+        "short_interest": si_level,
+        "volume": volume_view,
+        "rate_volatility": sigma_lr,
+        "score_one": s1,
+        "score_two": s2,
+        "score_three": s3,
+        "score_four": s4,
+        "e_lr": e_lr,
+        "dtc": dtc,
+        "lbg": lbg,
+        "adv": adv,
+    }
+    blank = {"score_two": no_s2, "score_three": no_s3, "score_four": no_s4}
+    return columns, blank, reasons
 
 
-def score_table(dataset: LendingDataset, cfg: ScoreConfig, flavor: str) -> list[ShortScoreRow]:
+def score_table(dataset: LendingDataset, cfg: ScoreConfig, flavor: str) -> ScoreTable:
     """One row per security in id order, excluded rows flagged in place.
 
     The whole cross-section is computed at once: every security shares
@@ -442,184 +461,166 @@ def score_table(dataset: LendingDataset, cfg: ScoreConfig, flavor: str) -> list[
     """
     _check_flavor(flavor)
     ids = dataset.security_ids
+    values = np.full((len(SCORE_VALUE_COLUMNS), len(ids)), np.nan)
+    missing = np.ones(values.shape, dtype=bool)
     if not ids:
-        return []
+        return ScoreTable(None, flavor, ids, values, missing, np.zeros(0, dtype=bool), np.zeros(0, dtype=object))
     panel = dict(zip(VARIABLES, dataset.values))
     idx = 0 if flavor == "first_day" else len(dataset.dates) - 1
     as_of = dataset.dates[idx]
+    balance = panel["loan_balance"]
+    columns = {
+        "price": panel["price"][:, idx],
+        "loan_rate": panel["loan_rate"][:, idx],
+        "alt_loan_rate": panel["alt_loan_rate"][:, idx],
+        "loan_balance_start": balance[:, 0],
+        "loan_balance_end": balance[:, -1],
+    }
+    blank: dict[str, np.ndarray] = {}
     try:
         e_lr, sigma_lr = rate_stats(dataset, cfg, as_of, flavor)
     except InsufficientHistory as exc:
-        unscored = [None] * len(ids)
-        columns = (
-            panel["volume"][:, idx].tolist(),
-            *[unscored] * 5,
-            [True] * len(ids),
-            [f"{REASON_INSUFFICIENT_HISTORY}: {sid}: {exc}" for sid in ids],
-        )
+        columns["volume"] = panel["volume"][:, idx]
+        reasons = np.array([f"{REASON_INSUFFICIENT_HISTORY}: {sid}: {exc}" for sid in ids], dtype=object)
     else:
-        columns = _scored_columns(panel, cfg, flavor, idx, e_lr, sigma_lr)
-    balance = panel["loan_balance"]
-    return [
-        ShortScoreRow(
-            date=as_of,
-            security_id=sid,
-            flavor=flavor,
-            price=price,
-            volume_view=volume_view,
-            loan_rate=loan_rate,
-            alt_loan_rate=alt_loan_rate,
-            loan_balance_start=start,
-            loan_balance_end=end,
-            score_one=s1,
-            score_two=s2,
-            score_three=s3,
-            score_four=s4,
-            factors=factors,
-            excluded=excluded,
-            reason=reason,
-        )
-        for (sid, price, loan_rate, alt_loan_rate, start, end,
-             volume_view, s1, s2, s3, s4, factors, excluded, reason) in zip(
-            ids,
-            panel["price"][:, idx].tolist(),
-            panel["loan_rate"][:, idx].tolist(),
-            panel["alt_loan_rate"][:, idx].tolist(),
-            balance[:, 0].tolist(),
-            balance[:, -1].tolist(),
-            *columns,
-        )
-    ]
+        scored, blank, reasons = _scored_columns(panel, cfg, flavor, idx, e_lr, sigma_lr)
+        columns.update(scored)
+    for name, column in columns.items():
+        k = _VALUE_INDEX[name]
+        values[k] = column
+        missing[k] = blank.get(name, False)
+    values[missing] = np.nan
+    return ScoreTable(as_of, flavor, ids, values, missing, reasons != "", reasons)
 
 
 # --- score-table CSV interchange -------------------------------------------
 #
-# The leading columns mirror the presentation layout (price, level views,
-# rates, rate volatility, first/last loan balance, four scores, exclusion
-# flag); the trailing e_lr/dtc/lbg/adv columns carry the remaining factor
-# state so the screener stage can run from this file alone.
+# One schema, SCORE_CSV_COLUMNS, serves the writer and the reader. A value
+# is written as Python's repr() text, so it reads back exactly; an empty
+# cell is a value the row was not scored far enough to have, while "nan"
+# is a computed NaN.
 
-SCORE_CSV_COLUMNS = (
-    "date",
-    "security_id",
-    "price",
-    "availability",
-    "short_interest",
-    "volume",
-    "loan_rate",
-    "alt_loan_rate",
-    "rate_volatility",
-    "loan_balance_start",
-    "loan_balance_end",
-    "score_one",
-    "score_two",
-    "score_three",
-    "score_four",
-    "excluded",
-    "reason",
-    "e_lr",
-    "dtc",
-    "lbg",
-    "adv",
-)
+# The numeric columns before and after the excluded/reason pair.
+_LEAD = SCORE_CSV_COLUMNS.index("excluded") - 2
 
 
-def _fmt_opt(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
+def _score_text(table: ScoreTable) -> Iterator[str]:
+    yield ",".join(SCORE_CSV_COLUMNS) + "\n"
+    if not len(table):
+        return
+    block, blank = table.values.T, table.missing.T
+    lead = float_rows_text(block[:, :_LEAD], blank[:, :_LEAD])
+    trail = float_rows_text(block[:, _LEAD:], blank[:, _LEAD:])
+    date = table.date.isoformat()
+    flags = np.where(table.excluded, "true", "false").tolist()
+    yield "".join(
+        [
+            f"{date},{security_id},{head},{flag},{reason},{tail}\n"
+            for security_id, head, flag, reason, tail in zip(
+                csv_fields(table.security_ids), lead, flags, csv_fields(table.reasons.tolist()), trail
+            )
+        ]
+    )
 
 
-def write_score_csv(rows: Sequence[ShortScoreRow], path: Path | str) -> Path:
+def write_score_csv(table: ScoreTable, path: Path | str) -> Path:
     """Serialize a score table deterministically."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SCORE_CSV_COLUMNS)
-    for row in rows:
-        f = row.factors
-        writer.writerow(
-            [
-                row.date.isoformat(),
-                row.security_id,
-                repr(row.price),
-                _fmt_opt(f.ma_la if f else None),
-                _fmt_opt(f.ma_si if f else None),
-                repr(row.volume_view),
-                repr(row.loan_rate),
-                repr(row.alt_loan_rate),
-                _fmt_opt(f.sigma_lr if f else None),
-                repr(row.loan_balance_start),
-                repr(row.loan_balance_end),
-                _fmt_opt(row.score_one),
-                _fmt_opt(row.score_two),
-                _fmt_opt(row.score_three),
-                _fmt_opt(row.score_four),
-                "true" if row.excluded else "false",
-                row.reason or "",
-                _fmt_opt(f.e_lr if f else None),
-                _fmt_opt(f.dtc if f else None),
-                _fmt_opt(f.lbg if f else None),
-                _fmt_opt(f.adv if f else None),
-            ]
-        )
     path = Path(path)
-    atomic_write_text(path, buf.getvalue())
+    atomic_write_text(path, _score_text(table))
     return path
 
 
-def _parse_opt(raw: str) -> float | None:
-    return None if raw == "" else float(raw)
+def _json_floats(cells: Sequence[str]) -> list[float] | None:
+    """The cells parsed in one orjson call, or None unless every cell is a JSON number that reads as a float.
+
+    A cell JSON reads as an int (``5``, ``-0``) is left to ``float()``,
+    which keeps the sign of ``-0``.
+    """
+    # Imported here, not with the module, as in datastore.
+    import orjson
+
+    try:
+        parsed = orjson.loads("[" + ",".join(cells) + "]")
+    except orjson.JSONDecodeError:
+        return None
+    if len(parsed) != len(cells) or not set(map(type, parsed)) <= {float}:
+        return None
+    return parsed
 
 
-def read_score_csv(path: Path | str, flavor: str = "ma") -> list[ShortScoreRow]:
-    """Load a score table written by :func:`write_score_csv`."""
+def read_score_csv(path: Path | str, flavor: str = "ma") -> ScoreTable:
+    """Load a score table written by :func:`write_score_csv`.
+
+    Each column is parsed into the table's arrays, and every row must
+    carry the same as-of date.
+    """
     path = Path(path)
-    rows: list[ShortScoreRow] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        got = tuple(reader.fieldnames or ())
-        if got != SCORE_CSV_COLUMNS:
-            raise SchemaError(f"{path}: unexpected score-table header {got}")
-        for line, raw in enumerate(reader, start=2):
-            price = float(raw["price"])
-            la = _parse_opt(raw["availability"])
-            si = _parse_opt(raw["short_interest"])
-            sigma = _parse_opt(raw["rate_volatility"])
-            e_lr = _parse_opt(raw["e_lr"])
-            factors = None
-            if e_lr is not None:
-                if la is None or si is None or sigma is None:
-                    raise SchemaError(
-                        f"{path}: row {line}: a scored row needs availability, "
-                        f"short_interest and rate_volatility"
-                    )
-                factors = DerivedFactors(
-                    e_lr=e_lr,
-                    sigma_lr=sigma,
-                    dtc=float(raw["dtc"]) if raw["dtc"] else math.nan,
-                    lbg=float(raw["lbg"]) if raw["lbg"] else math.nan,
-                    ma_si=si,
-                    ma_la=la,
-                    si_usd=si * price,
-                    la_usd=la * price,
-                    adv=float(raw["adv"]) if raw["adv"] else 0.0,
-                )
-            rows.append(
-                ShortScoreRow(
-                    date=dt.date.fromisoformat(raw["date"]),
-                    security_id=raw["security_id"],
-                    flavor=flavor,
-                    price=price,
-                    volume_view=float(raw["volume"]),
-                    loan_rate=float(raw["loan_rate"]),
-                    alt_loan_rate=float(raw["alt_loan_rate"]),
-                    loan_balance_start=float(raw["loan_balance_start"]),
-                    loan_balance_end=float(raw["loan_balance_end"]),
-                    score_one=_parse_opt(raw["score_one"]),
-                    score_two=_parse_opt(raw["score_two"]),
-                    score_three=_parse_opt(raw["score_three"]),
-                    score_four=_parse_opt(raw["score_four"]),
-                    factors=factors,
-                    excluded=raw["excluded"] == "true",
-                    reason=raw["reason"] or None,
-                )
-            )
-    return rows
+        text = fh.read()
+        if '"' in text or "\r" in text or "\0" in text:
+            # Quoted fields, CR line ends or NULs: the csv module splits the rows.
+            fh.seek(0)
+            records = list(csv.reader(fh))
+        else:
+            records = [line.split(",") if line else [] for line in text.split("\n")]
+    got = tuple(records[0]) if records else ()
+    if got != SCORE_CSV_COLUMNS:
+        raise SchemaError(f"{path}: unexpected score-table header {got}")
+    # Blank lines are skipped; rows are numbered as in the file without them.
+    rows = [row for row in records[1:] if row]
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(SCORE_CSV_COLUMNS):
+            raise SchemaError(f"{path}: row {line}: wrong number of fields")
+    n = len(rows)
+    cells = dict(zip(SCORE_CSV_COLUMNS, zip(*rows))) if rows else dict.fromkeys(SCORE_CSV_COLUMNS, ())
+
+    date = None
+    if rows:
+        first = rows[0][0]
+        if len(set(cells["date"])) > 1:
+            line = 2 + next(k for k, d in enumerate(cells["date"]) if d != first)
+            raise SchemaError(f"{path}: row {line}: a score table has one as-of date; {first} came first")
+        try:
+            date = dt.date.fromisoformat(first)
+        except ValueError as exc:
+            raise ValueError(f"{path}: row 2: bad date {first!r}") from exc
+
+    values = np.empty((len(SCORE_VALUE_COLUMNS), n))
+    missing = np.zeros(values.shape, dtype=bool)
+    for k, name in enumerate(SCORE_VALUE_COLUMNS):
+        column = cells[name]
+        parsed = _json_floats(column)
+        if parsed is not None:
+            values[k] = parsed
+            continue
+        # Empty cells, nan/inf or other spellings float() accepts: cell by cell.
+        missing[k] = [not c for c in column]
+        if name in _REQUIRED_COLUMNS and missing[k].any():
+            line = 2 + int(missing[k].argmax())
+            raise SchemaError(f"{path}: row {line}: column {name!r} is empty")
+        try:
+            values[k] = [float(c) if c else math.nan for c in column]
+        except ValueError:
+            for line, raw in enumerate(column, start=2):
+                try:
+                    float(raw or "nan")
+                except ValueError:
+                    raise ValueError(f"{path}: row {line}: column {name!r} is not numeric: {raw!r}") from None
+
+    v = _VALUE_INDEX
+    scored = ~missing[v["e_lr"]]
+    unfactored = scored & missing[[v["availability"], v["short_interest"], v["rate_volatility"]]].any(axis=0)
+    if unfactored.any():
+        raise SchemaError(
+            f"{path}: row {2 + int(unfactored.argmax())}: a scored row needs availability, "
+            f"short_interest and rate_volatility"
+        )
+    return ScoreTable(
+        date=date,
+        flavor=flavor,
+        security_ids=cells["security_id"],
+        values=values,
+        missing=missing,
+        excluded=np.array([c == "true" for c in cells["excluded"]], dtype=bool),
+        reasons=np.array(cells["reason"], dtype=object).reshape(n),
+    )

@@ -7,21 +7,32 @@ liquidity, a consensus buy rating, and a high beta. Filters run in a
 fixed documented order and an excluded security records the first
 filter it failed, so traces are stable and auditable.
 
+The screen works on a whole :class:`~shortbasket.scoring.ScoreTable` at
+once: one boolean mask per filter, in ``FILTER_ORDER``, and each row's
+reason is its first failed mask (``argmax``). A mask marks the rows that
+do not pass, so a NaN factor fails its filter. The kept rows are again a
+``ScoreTable``.
+
 Ranking sorts by a composite key: the sign of the rate premium first,
 then the selected score. A below-threshold security therefore never
 outranks one with a positive premium, whatever its multipliers do to
-the raw product. The bottom percentile of the sorted set is dropped.
+the raw product. Ties fall to the security id. The sort is one
+``np.lexsort`` over the table's columns, and the result is a
+:class:`Ranking` of ids, scores and signs, best first. The bottom
+percentile of the sorted set is dropped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .datastore import SecurityProfile
 from .errors import EmptyAfterFilters, InsufficientSnapshots
-from .scoring import ShortScoreRow
+from .scoring import SCORE_SELECTORS, ScoreTable
 
 # Evaluation order; the first failed name becomes the exclusion reason.
 FILTER_ORDER = (
@@ -37,6 +48,8 @@ FILTER_ORDER = (
 
 REASON_MANUAL = "manual_exclusion"
 REASON_MISSING_PROFILE = "missing_profile"
+# FILTER_ORDER and "" (no failure), indexed by a row's first failed filter.
+_FILTER_REASONS = np.array([*FILTER_ORDER, ""], dtype=object)
 
 _PERMISSIVE_MIN = -1e300
 _PERMISSIVE_MAX = 1e300
@@ -93,32 +106,55 @@ class FilterConfig:
         )
 
 
-def lbg_from_pct(growth_pct: float) -> float:
-    """Convert a percentage growth threshold (25 -> +25%) to a ratio (1.25)."""
-    return 1.0 + growth_pct / 100.0
-
-
-@dataclass(frozen=True)
-class ExclusionRecord:
+class ExclusionRecord(NamedTuple):
     """Why one security fell out of the ranked universe."""
 
     security_id: str
     reason: str
 
 
-@dataclass(frozen=True)
-class RankedSecurity:
-    """One entry of the final ranking; ranks are contiguous from 1."""
+class RankedSecurity(NamedTuple):
+    """One entry of a ranking, as Python values; ranks are contiguous from 1."""
 
     security_id: str
     rank: int
     rank_key: tuple[int, float]
-    score_flavor_used: str
-    filter_trace: tuple[str, ...]
 
     @property
     def score(self) -> float:
         return self.rank_key[1]
+
+
+@dataclass(frozen=True)
+class Ranking:
+    """Securities best first, with the score and premium sign each was ranked by.
+
+    Iterating a ranking yields one :class:`RankedSecurity` per entry,
+    ranked from 1.
+    """
+
+    security_ids: tuple[str, ...]
+    scores: tuple[float, ...]
+    premium_signs: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.security_ids)
+
+    def __iter__(self) -> Iterator[RankedSecurity]:
+        keys = zip(self.premium_signs, self.scores)
+        for rank, (security_id, key) in enumerate(zip(self.security_ids, keys), start=1):
+            yield RankedSecurity(security_id, rank, key)
+
+
+class _NoProfile(NamedTuple):
+    """Stands in for a missing profile: no market, and NaN attributes that fail their filters."""
+
+    market: str | None = None
+    buy_rating: float = math.nan
+    beta: float = math.nan
+
+
+_NO_PROFILE = _NoProfile()
 
 
 def _profile_map(
@@ -129,117 +165,96 @@ def _profile_map(
     return {p.security_id: p for p in profiles}
 
 
-def _first_failure(
-    row: ShortScoreRow, profile: SecurityProfile, cfg: FilterConfig
-) -> str | None:
-    # The checks run in FILTER_ORDER and stop at the first failure. Each is
-    # written "not passes", so that a NaN factor fails its filter.
-    assert row.factors is not None
-    f = row.factors
-    scale = cfg.market_scale.get(profile.market, 1.0)
-    if not f.si_usd >= cfg.min_si_usd / scale:
-        return "min_si_usd"
-    if not row.loan_rate >= cfg.min_loan_rate:
-        return "min_loan_rate"
-    if not f.dtc >= cfg.min_dtc:
-        return "min_dtc"
-    if not f.lbg >= cfg.min_lbg:
-        return "min_lbg"
-    if not f.la_usd <= cfg.max_la_usd / scale:
-        return "max_la_usd"
-    if not f.adv * row.price >= cfg.min_adv_usd / scale:
-        return "min_adv_usd"
-    if not profile.buy_rating >= cfg.min_buy_rating:
-        return "min_buy_rating"
-    if not profile.beta >= cfg.min_beta:
-        return "min_beta"
-    return None
-
-
 def apply_filters(
-    rows: Sequence[ShortScoreRow],
+    table: ScoreTable,
     profiles: Mapping[str, SecurityProfile] | Iterable[SecurityProfile],
     cfg: FilterConfig,
-) -> tuple[list[ShortScoreRow], list[ExclusionRecord]]:
-    """Split one evaluation date's rows into kept and excluded-with-reason.
+) -> tuple[ScoreTable, list[ExclusionRecord]]:
+    """Split one evaluation date's table into kept rows and excluded-with-reason.
 
     Rows already excluded upstream keep their scoring reason; the manual
     exclusion list and profile join are checked before the threshold
     filters. Output order follows input order; the split is idempotent.
     """
     by_id = _profile_map(profiles)
-    kept: list[ShortScoreRow] = []
-    excluded: list[ExclusionRecord] = []
-    for row in rows:
-        if row.excluded:
-            excluded.append(ExclusionRecord(row.security_id, row.reason or "excluded"))
-            continue
-        if row.security_id in cfg.exclusions:
-            excluded.append(ExclusionRecord(row.security_id, REASON_MANUAL))
-            continue
-        profile = by_id.get(row.security_id)
-        if profile is None:
-            excluded.append(ExclusionRecord(row.security_id, REASON_MISSING_PROFILE))
-            continue
-        failed = _first_failure(row, profile, cfg)
-        if failed is not None:
-            excluded.append(ExclusionRecord(row.security_id, failed))
-        else:
-            kept.append(row)
+    ids = table.security_ids
+    profile_of = [by_id.get(sid, _NO_PROFILE) for sid in ids]
+    scale = np.array([cfg.market_scale.get(p.market, 1.0) for p in profile_of]) if cfg.market_scale else 1.0
+    price = table.column("price")
+    # One row per filter in FILTER_ORDER. Each is written "not passes",
+    # so that a NaN factor (or a missing profile's NaN) fails its filter.
+    with np.errstate(invalid="ignore"):
+        fails = ~np.array(
+            [
+                table.column("short_interest") * price >= cfg.min_si_usd / scale,
+                table.column("loan_rate") >= cfg.min_loan_rate,
+                table.column("dtc") >= cfg.min_dtc,
+                table.column("lbg") >= cfg.min_lbg,
+                table.column("availability") * price <= cfg.max_la_usd / scale,
+                table.column("adv") * price >= cfg.min_adv_usd / scale,
+                np.array([p.buy_rating for p in profile_of]) >= cfg.min_buy_rating,
+                np.array([p.beta for p in profile_of]) >= cfg.min_beta,
+            ]
+        )
+    # The first failed filter of each row, or "" where every filter passes;
+    # then, overriding it in this order, the missing profile, the manual
+    # list and the upstream reason.
+    reasons = _FILTER_REASONS[np.where(fails.any(axis=0), fails.argmax(axis=0), len(FILTER_ORDER))]
+    reasons[[p is _NO_PROFILE for p in profile_of]] = REASON_MISSING_PROFILE
+    if cfg.exclusions:
+        reasons[[sid in cfg.exclusions for sid in ids]] = REASON_MANUAL
+    upstream = table.excluded
+    reasons[upstream] = [r or "excluded" for r in table.reasons[upstream].tolist()]
+    reasons = reasons.tolist()
+    excluded = [ExclusionRecord(sid, reason) for sid, reason in zip(ids, reasons) if reason]
+    kept = table if not excluded else table.take(np.flatnonzero([not reason for reason in reasons]))
     return kept, excluded
 
 
-def _premium_sign(row: ShortScoreRow) -> int:
-    # score_one carries the sign of the rate premium by construction,
-    # including the zero-deviation sentinel cases.
-    assert row.score_one is not None
-    if row.score_one > 0:
-        return 1
-    if row.score_one < 0:
-        return -1
-    return 0
-
-
 def rank(
-    kept: Sequence[ShortScoreRow],
+    kept: ScoreTable,
     score_selector: str = "four",
     drop_bottom_pct: float = 0.0,
-) -> list[RankedSecurity]:
+) -> Ranking:
     """Order the kept rows best-first and drop the bottom percentile.
 
     Sorting is by (premium sign, selected score) descending with ties
     broken by security_id, so output never depends on input order.
     ``ceil(K * pct / 100)`` rows fall off the bottom.
     """
-    if not kept:
+    if not len(kept):
         raise EmptyAfterFilters("no securities survived the filters")
     if not 0 <= drop_bottom_pct < 100:
         raise ValueError(f"drop_bottom_pct must be in [0, 100), got {drop_bottom_pct}")
+    if score_selector not in SCORE_SELECTORS:
+        raise ValueError(f"unknown score selector {score_selector!r}")
 
-    # (premium sign, score) of each row, computed once.
-    keys = []
-    for row in kept:
-        value = row.score(score_selector)
-        if value is None or math.isnan(value):
-            raise ValueError(f"{row.security_id}: score_{score_selector} is not rankable")
-        keys.append((_premium_sign(row), float(value)))
-    order = sorted(range(len(kept)), key=lambda i: (-keys[i][0], -keys[i][1], kept[i].security_id))
-    n_drop = math.ceil(len(order) * drop_bottom_pct / 100.0)
-    flavor = kept[0].flavor
-    return [
-        RankedSecurity(
-            security_id=kept[i].security_id,
-            rank=position + 1,
-            rank_key=keys[i],
-            score_flavor_used=flavor,
-            filter_trace=FILTER_ORDER,
-        )
-        for position, i in enumerate(order[: len(order) - n_drop])
-    ]
+    scores = kept.column(f"score_{score_selector}")
+    unrankable = np.isnan(scores)
+    if unrankable.any():
+        raise ValueError(f"{kept.security_ids[unrankable.argmax()]}: score_{score_selector} is not rankable")
+    # score_one carries the sign of the rate premium by construction,
+    # including the zero-deviation sentinel cases.
+    score_one = kept.column("score_one")
+    sign = (score_one > 0).astype(np.int64) - (score_one < 0)
+    # Ties fall to each id's place in Python's order of str; numpy's own
+    # str comparison ignores trailing NULs. Equal ids keep input order, as
+    # in a stable sort.
+    n = len(kept)
+    ids = kept.security_ids
+    by_id = np.empty(n, dtype=np.intp)
+    by_id[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+    order = np.lexsort((by_id, -scores, -sign))
+    order = order[: n - math.ceil(n * drop_bottom_pct / 100.0)]
+    return Ranking(
+        security_ids=tuple(ids[i] for i in order.tolist()),
+        scores=tuple(scores[order].tolist()),
+        premium_signs=tuple(sign[order].tolist()),
+    )
 
 
 def rank_stability(
-    rankings: Sequence[Sequence[RankedSecurity]],
+    rankings: Sequence[Ranking],
 ) -> dict[str, float]:
     """Mean absolute rank change per snapshot transition, per security.
 

@@ -1,14 +1,16 @@
-"""Shared builders for hand-crafted rows, series, and datasets."""
+"""Shared builders for hand-crafted rows, tables, series, and datasets."""
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
+import io
 
 import numpy as np
 import pytest
 
 from shortbasket.datastore import VARIABLES, LendingDataset, SecurityProfile, SecuritySeries
-from shortbasket.scoring import DerivedFactors, ShortScoreRow
+from shortbasket.scoring import SCORE_CSV_COLUMNS, SCORE_VALUE_COLUMNS, DerivedFactors, ScoreTable
 from shortbasket.simulate import trading_dates
 
 START = dt.date(2021, 1, 4)
@@ -30,28 +32,71 @@ def make_factors(**overrides) -> DerivedFactors:
     return DerivedFactors(**base)
 
 
-def make_row(security_id: str = "SEC0001", **overrides) -> ShortScoreRow:
-    factors = overrides.pop("factors", None) or make_factors(**overrides.pop("factor_overrides", {}))
-    base = dict(
-        date=START,
-        security_id=security_id,
-        flavor="ma",
-        price=100.0,
-        volume_view=300_000.0,
-        loan_rate=0.05,
-        alt_loan_rate=0.06,
-        loan_balance_start=1_000_000.0,
-        loan_balance_end=1_500_000.0,
-        score_one=3.0,
-        score_two=120.0,
-        score_three=720.0,
-        score_four=1080.0,
-        factors=factors,
-        excluded=False,
-        reason=None,
+# A row that clears every default filter at price 100: si_usd 2e8, rate
+# 5%, dtc 6, lbg 1.5, la_usd 5e6, adv_usd 3e7; make_profile adds rating
+# 4.5 and beta 1.8.
+ROW_DEFAULTS = dict(
+    price=100.0,
+    availability=50_000.0,
+    short_interest=2_000_000.0,
+    volume=300_000.0,
+    loan_rate=0.05,
+    alt_loan_rate=0.06,
+    rate_volatility=0.01,
+    loan_balance_start=1_000_000.0,
+    loan_balance_end=1_500_000.0,
+    score_one=3.0,
+    score_two=120.0,
+    score_three=720.0,
+    score_four=1080.0,
+    e_lr=0.05,
+    dtc=6.0,
+    lbg=1.5,
+    adv=300_000.0,
+)
+
+
+def make_row(security_id: str = "SEC0001", **overrides) -> dict:
+    """One score-table row as column values; None leaves a cell empty."""
+    row = dict(ROW_DEFAULTS, security_id=security_id, excluded=False, reason=None)
+    row.update(overrides)
+    return row
+
+
+def make_table(*rows: dict, flavor: str = "ma") -> ScoreTable:
+    """A score table dated START holding the given rows, in that order."""
+    shape = (len(SCORE_VALUE_COLUMNS), len(rows))
+    cells = [row[name] for name in SCORE_VALUE_COLUMNS for row in rows]
+    return ScoreTable(
+        date=START if rows else None,
+        flavor=flavor,
+        security_ids=tuple(row["security_id"] for row in rows),
+        values=np.array([np.nan if c is None else c for c in cells], dtype=float).reshape(shape),
+        missing=np.array([c is None for c in cells], dtype=bool).reshape(shape),
+        excluded=np.array([row["excluded"] for row in rows], dtype=bool),
+        reasons=np.array([row["reason"] or "" for row in rows], dtype=object).reshape(len(rows)),
     )
-    base.update(overrides)
-    return ShortScoreRow(**base)
+
+
+def score_csv_oracle_bytes(rows: list[dict]) -> bytes:
+    """Rows of column values (None for an empty cell) as the score-table CSV: one csv.writer row and one repr() per cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(SCORE_CSV_COLUMNS)
+    for row in rows:
+        cells = []
+        for name in SCORE_CSV_COLUMNS:
+            value = row[name]
+            if name == "date":
+                cells.append(value.isoformat())
+            elif name == "excluded":
+                cells.append("true" if value else "false")
+            elif name in ("security_id", "reason"):
+                cells.append(value or "")
+            else:
+                cells.append("" if value is None else repr(float(value)))
+        writer.writerow(cells)
+    return buf.getvalue().encode()
 
 
 def make_profile(security_id: str = "SEC0001", **overrides) -> SecurityProfile:

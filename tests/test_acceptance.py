@@ -37,7 +37,7 @@ from shortbasket.simulate import (
 )
 from shortbasket.rng import NoiseStream
 
-from conftest import make_factors, make_profile, make_row
+from conftest import make_factors, make_profile, make_row, make_table
 
 
 def report(number: int, name: str, elapsed: float) -> None:
@@ -50,16 +50,15 @@ def test_criterion_01_rate_threshold_flips_ranking():
     bbb = make_row("BBB", score_one=sharpe_like(5.00, 0.0, 2.00))
     ccc = make_row("CCC", score_one=sharpe_like(8.00, 0.0, 4.00))
     start = time.perf_counter()
-    without = rank([bbb, ccc], "one", 0.0)
-    assert without[0].security_id == "BBB"
-    assert without[0].score == 2.50
-    assert without[1].score == 2.00
+    without = rank(make_table(bbb, ccc), "one", 0.0)
+    assert without.security_ids[0] == "BBB"
+    assert without.scores == (2.50, 2.00)
 
     for threshold in (2.5, 3.0, 4.5):
         bbb_t = make_row("BBB", score_one=sharpe_like(5.00, threshold, 2.00))
         ccc_t = make_row("CCC", score_one=sharpe_like(8.00, threshold, 4.00))
-        with_threshold = rank([bbb_t, ccc_t], "one", 0.0)
-        assert with_threshold[0].security_id == "CCC"
+        with_threshold = rank(make_table(bbb_t, ccc_t), "one", 0.0)
+        assert with_threshold.security_ids[0] == "CCC"
     elapsed = time.perf_counter() - start
     assert elapsed < 1e-3
     report(1, "rate threshold flips ranking", elapsed)
@@ -147,13 +146,10 @@ def test_criterion_06_portfolio_invariants_against_oracle():
                 hi = mid
         return [min(cap, s * (lo + hi) / 2.0) for s in scores]
 
-    from shortbasket.screener import FILTER_ORDER, RankedSecurity
+    from shortbasket.screener import Ranking
 
     def ranking(scores):
-        return [
-            RankedSecurity(f"S{i:04d}", i + 1, (1, s), "ma", FILTER_ORDER)
-            for i, s in enumerate(scores)
-        ]
+        return Ranking(tuple(f"S{i:04d}" for i in range(len(scores))), tuple(scores), (1,) * len(scores))
 
     start = time.perf_counter()
     gen = np.random.default_rng(6060)
@@ -185,28 +181,23 @@ def test_criterion_07_each_filter_audited_individually():
     profiles = {}
     rows = []
 
-    def add(security_id, factor_overrides=None, row_overrides=None, profile_overrides=None):
-        rows.append(
-            make_row(
-                security_id,
-                factor_overrides=factor_overrides or {},
-                **(row_overrides or {}),
-            )
-        )
+    def add(security_id, row_overrides=None, profile_overrides=None):
+        rows.append(make_row(security_id, **(row_overrides or {})))
         profiles[security_id] = make_profile(security_id, **(profile_overrides or {}))
 
-    # one violation each, everything else comfortably compliant
-    add("V_SI", factor_overrides=dict(si_usd=9_000_000.0))
+    # one violation each, everything else comfortably compliant; USD
+    # figures are shares times the price of 100
+    add("V_SI", row_overrides=dict(short_interest=90_000.0))  # 9M USD
     add("V_RATE", row_overrides=dict(loan_rate=0.014))
-    add("V_DTC", factor_overrides=dict(dtc=3.9))
-    add("V_LBG", factor_overrides=dict(lbg=1.20))
-    add("V_LA", factor_overrides=dict(la_usd=12_000_000.0))
-    add("V_ADV", factor_overrides=dict(adv=100_000.0))  # 10M USD at price 100
+    add("V_DTC", row_overrides=dict(dtc=3.9))
+    add("V_LBG", row_overrides=dict(lbg=1.20))
+    add("V_LA", row_overrides=dict(availability=120_000.0))  # 12M USD
+    add("V_ADV", row_overrides=dict(adv=100_000.0))  # 10M USD
     add("V_RATING", profile_overrides=dict(buy_rating=3.0))
     add("V_BETA", profile_overrides=dict(beta=1.1))
     add("OK")
 
-    kept, excluded = apply_filters(rows, profiles, cfg)
+    kept, excluded = apply_filters(make_table(*rows), profiles, cfg)
     reasons = {e.security_id: e.reason for e in excluded}
     assert reasons == {
         "V_SI": "min_si_usd",

@@ -71,6 +71,14 @@ class TestSimulate:
         assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_fractional_seed_exits_one(self, tmp_path, capsys):
+        # used to run seed 1 and echo "master_seed": 1
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"master_seed": 1.5, "n_securities": 2, "n_days": 3}')
+        assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert "master_seed must be an integer, got 1.5" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestScore:
     def test_writes_requested_flavors(self, sim_dir, tmp_path):
@@ -91,6 +99,15 @@ class TestScore:
         out = tmp_path / "w"
         assert run(["score", "--data", str(sim_dir), "--out", str(out),
                     "--flavor", "ma", "--window", "10"]) == 0
+
+    def test_fractional_window_exits_one(self, tmp_path, capsys):
+        # on 100 days a 60.5-day window used to crash with "slice indices must be integers"
+        data = tmp_path / "data"
+        assert run(["simulate", "--out", str(data), "--n-securities", "2", "--n-days", "100"]) == 0
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"scoring": {"ma_window": 60.5}}')
+        assert run(["score", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "x")]) == 1
+        assert "scoring.ma_window must be an integer, got 60.5" in capsys.readouterr().err
 
     def test_missing_data_dir_exits_one(self, tmp_path):
         assert run(["score", "--data", str(tmp_path / "void"), "--out", str(tmp_path)]) == 1

@@ -117,3 +117,38 @@ def test_resolved_json_is_deterministic():
     assert resolved_config_json(cfg) == resolved_config_json(RunConfig())
     parsed = json.loads(resolved_config_json(cfg))
     assert parsed["portfolio"]["cap"] == 0.1
+
+
+INTEGER_KEYS = [
+    ("master_seed", lambda v: {"master_seed": v}),
+    ("n_securities", lambda v: {"n_securities": v}),
+    ("n_days", lambda v: {"n_days": v}),
+    ("portfolio.top_m", lambda v: {"portfolio": {"top_m": v}}),
+    ("scoring.ma_window", lambda v: {"scoring": {"ma_window": v}}),
+    ("scoring.vol_window", lambda v: {"scoring": {"vol_window": v}}),
+    ("scoring.lbg_lag", lambda v: {"scoring": {"lbg_lag": v}}),
+]
+
+
+@pytest.mark.parametrize("key, build", INTEGER_KEYS, ids=[k for k, _ in INTEGER_KEYS])
+@pytest.mark.parametrize("value", [1.5, 60.5, True, False, "60", None], ids=repr)
+def test_integer_keys_reject_non_integers(key, build, value):
+    # a fractional number used to be truncated (seed 1.5 ran seed 1), a bool
+    # read as 0 or 1, and a fractional window crashed scoring later
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        run_config_from_dict(build(value))
+
+
+@pytest.mark.parametrize("key, build", INTEGER_KEYS, ids=[k for k, _ in INTEGER_KEYS])
+def test_integer_keys_accept_integral_floats(key, build):
+    cfg = run_config_from_dict(build(60.0))
+    section, _, name = key.rpartition(".")
+    value = getattr(cfg.scoring if section == "scoring" else cfg, name)
+    assert value == 60 and type(value) is int
+
+
+def test_fractional_seed_file_is_rejected(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text('{"master_seed": 1.5}')
+    with pytest.raises(ConfigError, match="master_seed must be an integer, got 1.5"):
+        load_run_config(path)

@@ -14,14 +14,12 @@ from shortbasket.portfolio import (
     rebalance,
     variance_penalized_weights,
 )
-from shortbasket.screener import FILTER_ORDER, RankedSecurity
+from shortbasket.screener import Ranking
 
 
-def ranking(scores: list[float]) -> list[RankedSecurity]:
-    return [
-        RankedSecurity(f"SEC{i + 1:04d}", i + 1, (1, s), "ma", FILTER_ORDER)
-        for i, s in enumerate(scores)
-    ]
+def ranking(scores: list[float], ids: list[str] | None = None) -> Ranking:
+    ids = ids or [f"SEC{i + 1:04d}" for i in range(len(scores))]
+    return Ranking(tuple(ids), tuple(scores), (1,) * len(scores))
 
 
 def waterfill_oracle(scores: list[float], cap: float) -> list[float]:
@@ -171,10 +169,7 @@ class TestRebalance:
 
     def test_membership_change_always_rebuilds(self):
         current = construct(ranking([5.0, 3.0]), 2, 1.0)
-        newcomer = [
-            RankedSecurity("SEC0001", 1, (1, 5.0), "ma", FILTER_ORDER),
-            RankedSecurity("SEC0099", 2, (1, 3.0), "ma", FILTER_ORDER),
-        ]
+        newcomer = ranking([5.0, 3.0], ["SEC0001", "SEC0099"])
         result, changed = rebalance(current, newcomer, 1e9)
         assert changed is True
         assert "SEC0099" in result.weights()

@@ -2,22 +2,22 @@
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from shortbasket.errors import (
-    DegenerateCrossSection,
     EmptySeries,
     InsufficientHistory,
     SchemaError,
 )
 from shortbasket.scoring import (
     FLAVORS,
-    FactorWeights,
+    SCORE_CSV_COLUMNS,
     ScoreConfig,
-    factor_normalization,
     moving_average,
     rate_stats,
     read_score_csv,
@@ -27,10 +27,9 @@ from shortbasket.scoring import (
     score_three,
     score_two,
     sharpe_like,
-    weighted_score,
-    weighted_scores,
     write_score_csv,
 )
+from shortbasket.screener import FilterConfig, apply_filters, rank
 
 from conftest import dataset_from_series, make_factors, series_from_columns
 
@@ -189,117 +188,66 @@ class TestScoreAlgebra:
         assert score_four(make_factors(lbg=2.0), CFG) > score_four(base, CFG)
 
 
-class TestWeightedScore:
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            FactorWeights(0.5, 0.5, 0.5, 0.0, 0.0)
-
-    def test_projection_onto_single_factor(self):
-        table = [
-            make_factors(dtc=2.0, e_lr=0.09, si_usd=1e8, lbg=1.1, la_usd=3e6),
-            make_factors(dtc=9.0, e_lr=0.03, si_usd=4e8, lbg=0.8, la_usd=9e6),
-            make_factors(dtc=5.0, e_lr=0.06, si_usd=2e8, lbg=1.7, la_usd=5e6),
-        ]
-        weights = FactorWeights(0.0, 0.0, 1.0, 0.0, 0.0)
-        totals = weighted_scores(table, weights)
-        by_total = sorted(range(3), key=lambda i: totals[i])
-        by_dtc = sorted(range(3), key=lambda i: table[i].dtc)
-        assert by_total == by_dtc
-
-    def test_identical_rows_get_identical_scores(self):
-        twin = make_factors()
-        other = make_factors(dtc=12.0, e_lr=0.09, si_usd=5e8, lbg=2.0, la_usd=2e6)
-        totals = weighted_scores([twin, twin, other], FactorWeights())
-        assert totals[0] == totals[1]
-
-    def test_degenerate_cross_section_raises(self):
-        with pytest.raises(DegenerateCrossSection):
-            weighted_scores([make_factors(), make_factors()], FactorWeights())
-
-    def test_matches_independent_recomputation(self):
-        table = [
-            make_factors(si_usd=1e8, e_lr=0.05, dtc=5.0, lbg=1.2, la_usd=4e6),
-            make_factors(si_usd=3e8, e_lr=0.02, dtc=9.0, lbg=0.9, la_usd=8e6),
-            make_factors(si_usd=2e8, e_lr=0.08, dtc=2.0, lbg=1.6, la_usd=1e6),
-        ]
-        weights = FactorWeights(0.3, 0.25, 0.2, 0.15, 0.1)
-        totals = weighted_scores(table, weights)
-
-        # independent spreadsheet-style recomputation
-        raw = {
-            "si_usd": [f.si_usd for f in table],
-            "e_lr": [f.e_lr for f in table],
-            "dtc": [f.dtc for f in table],
-            "lbg": [f.lbg for f in table],
-            "ila": [1.0 / f.la_usd for f in table],
-        }
-        w = {"si_usd": 0.3, "e_lr": 0.25, "dtc": 0.2, "lbg": 0.15, "ila": 0.1}
-        expected = []
-        for i in range(3):
-            total = 0.0
-            for key, values in raw.items():
-                mean = sum(values) / 3
-                std = math.sqrt(sum((v - mean) ** 2 for v in values) / 3)
-                total += w[key] * (values[i] - mean) / std
-            expected.append(total)
-        for got, want in zip(totals, expected):
-            assert got == pytest.approx(want, rel=1e-12)
-
-    def test_zero_availability_must_be_excluded_first(self):
-        varied = make_factors(si_usd=9e8, e_lr=0.09, dtc=11.0, lbg=2.0)
-        with pytest.raises(ValueError, match="la_usd"):
-            factor_normalization([varied, make_factors(la_usd=0.0)])
-
-    def test_weighted_score_uses_supplied_normalization(self):
-        table = [make_factors(dtc=2.0), make_factors(dtc=6.0)]
-        norms = {key: (0.0, 1.0) for key in ("si_usd", "e_lr", "dtc", "lbg", "ila")}
-        value = weighted_score(table[0], FactorWeights(0.0, 0.0, 1.0, 0.0, 0.0), norms)
-        assert value == 2.0
-
-
 class TestScoreTable:
     def test_one_row_per_security_in_id_order(self, tiny_dataset):
-        rows = score_table(tiny_dataset, CFG, "ma")
-        assert [r.security_id for r in rows] == ["SEC0001", "SEC0002", "SEC0003"]
-        assert all(not r.excluded for r in rows)
-        assert all(r.flavor == "ma" for r in rows)
+        table = score_table(tiny_dataset, CFG, "ma")
+        assert table.flavor == "ma"
+        assert table.date == tiny_dataset.dates[-1]
+        assert [r.security_id for r in table] == ["SEC0001", "SEC0002", "SEC0003"]
+        assert all(not r.excluded for r in table)
 
     def test_single_day_dataset_all_excluded(self):
         ds = dataset_from_series(series_from_columns("SEC0001", 1))
-        rows = score_table(ds, CFG, "ma")
-        assert rows[0].excluded
-        assert rows[0].reason is not None and "insufficient_history" in rows[0].reason
-        assert rows[0].score_one is None
+        [row] = score_table(ds, CFG, "ma")
+        assert row.excluded
+        assert row.reason is not None and "insufficient_history" in row.reason
+        assert row.score_one is None
 
     def test_zero_availability_flagged(self):
         ds = dataset_from_series(series_from_columns("SEC0001", 70, availability=0.0))
-        rows = score_table(ds, CFG, "ma")
-        assert rows[0].excluded
-        assert rows[0].reason == "zero_availability"
-        assert rows[0].score_one is not None
-        assert rows[0].score_two is None
+        [row] = score_table(ds, CFG, "ma")
+        assert row.excluded
+        assert row.reason == "zero_availability"
+        assert row.score_one is not None
+        assert row.score_two is None
 
     def test_zero_volume_flagged(self):
         ds = dataset_from_series(series_from_columns("SEC0001", 70, volume=0.0))
-        rows = score_table(ds, CFG, "ma")
-        assert rows[0].excluded
-        assert rows[0].reason == "zero_adv"
+        [row] = score_table(ds, CFG, "ma")
+        assert row.excluded
+        assert row.reason == "zero_adv"
 
     def test_zero_loan_balance_flagged(self):
         balances = [0.0] * 69 + [100.0]
         ds = dataset_from_series(series_from_columns("SEC0001", 70, loan_balance=balances))
-        rows = score_table(ds, CFG, "ma")
-        assert rows[0].excluded
-        assert rows[0].reason == "zero_loan_balance"
-        assert rows[0].score_three is not None
+        [row] = score_table(ds, CFG, "ma")
+        assert row.excluded
+        assert row.reason == "zero_loan_balance"
+        assert row.score_three is not None
+
+    def test_riskless_premium_times_zero_short_interest_is_excluded(self):
+        # a constant rate above rf gives score one +inf, and zero short
+        # interest multiplies it by 0: the NaN scores must not reach a
+        # ranking, even under filters that keep every row
+        ds = dataset_from_series(
+            series_from_columns("A", 70, loan_rate=0.05, short_interest=0.0),
+            series_from_columns("B", 70, loan_rate=[0.04, 0.06] * 35),
+        )
+        table = score_table(ds, CFG, "last_day")
+        a, b = table
+        assert a.score_one == math.inf and math.isnan(a.score_two) and math.isnan(a.score_four)
+        assert a.excluded and a.reason == "undefined_score"
+        assert not b.excluded
+        kept, excluded = apply_filters(table, ds.profiles, FilterConfig.permissive())
+        assert [(e.security_id, e.reason) for e in excluded] == [("A", "undefined_score")]
+        assert [r.security_id for r in rank(kept, "four")] == ["B"]
 
     def test_dtc_worked_example(self):
         ds = dataset_from_series(
             series_from_columns("SEC0001", 70, short_interest=2e6, volume=1e6)
         )
-        rows = score_table(ds, CFG, "last_day")
-        assert rows[0].factors is not None
-        assert rows[0].factors.dtc == 2.0
+        [row] = score_table(ds, CFG, "last_day")
+        assert row.dtc == 2.0
 
     def test_flavor_changes_ranking_on_crossing_rates(self):
         # rates that cross mid-sample flip the first-day vs last-day order
@@ -321,69 +269,83 @@ class TestScoreTable:
         ds = dataset_from_series(series_from_columns("SEC0001", 70))
         snapshots = []
         for flavor in FLAVORS:
-            row = score_table(ds, CFG, flavor)[0]
-            assert row.factors is not None
-            assert row.factors.sigma_lr == 0.0  # sentinel territory
-            snapshots.append(
-                (
-                    row.factors,
-                    row.score_one,
-                    row.score_two,
-                    row.score_three,
-                    row.score_four,
-                )
-            )
+            [row] = score_table(ds, CFG, flavor)
+            assert row.rate_volatility == 0.0  # sentinel territory
+            snapshots.append(row[2:])  # every column but the date and the id
         assert snapshots[0] == snapshots[1] == snapshots[2]
 
     def test_lbg_lag_clamps_to_series_start(self):
         balances = [2.0] + [1.0] * 68 + [3.0]
         ds = dataset_from_series(series_from_columns("SEC0001", 70, loan_balance=balances))
-        rows = score_table(ds, ScoreConfig(lbg_lag=100), "last_day")
-        assert rows[0].factors is not None
-        assert rows[0].factors.lbg == pytest.approx(3.0 / 2.0)
+        [row] = score_table(ds, ScoreConfig(lbg_lag=100), "last_day")
+        assert row.lbg == pytest.approx(3.0 / 2.0)
 
     def test_first_day_lbg_is_unity(self):
         balances = [2.0] + [5.0] * 69
         ds = dataset_from_series(series_from_columns("SEC0001", 70, loan_balance=balances))
-        rows = score_table(ds, CFG, "first_day")
-        assert rows[0].factors is not None
-        assert rows[0].factors.lbg == 1.0
+        [row] = score_table(ds, CFG, "first_day")
+        assert row.lbg == 1.0
 
     def test_usd_views_use_as_of_price(self):
+        # 1e6 shares short and 1e4 available at the last day's price of 40:
+        # 4e7 USD of short interest and 4e5 USD of availability
+        prices = [10.0] * 69 + [40.0]
         ds = dataset_from_series(
-            series_from_columns("SEC0001", 70, price=40.0, short_interest=1e6, availability=1e4)
+            series_from_columns("SEC0001", 70, price=prices, short_interest=1e6, availability=1e4)
         )
-        row = score_table(ds, CFG, "last_day")[0]
-        assert row.factors is not None
-        assert row.factors.si_usd == pytest.approx(4e7)
-        assert row.factors.la_usd == pytest.approx(4e5)
+        table = score_table(ds, CFG, "last_day")
+        permissive = FilterConfig.permissive()
+        for name, at, beyond in (("min_si_usd", 4e7, 4.0001e7), ("max_la_usd", 4e5, 3.9999e5)):
+            kept, _ = apply_filters(table, ds.profiles, replace(permissive, **{name: at}))
+            assert len(kept) == 1, name
+            _, excluded = apply_filters(table, ds.profiles, replace(permissive, **{name: beyond}))
+            assert [e.reason for e in excluded] == [name]
 
 
 class TestScoreCsv:
     def test_round_trip(self, tmp_path, tiny_dataset):
-        rows = score_table(tiny_dataset, CFG, "ma")
-        path = write_score_csv(rows, tmp_path / "scores_ma.csv")
-        assert read_score_csv(path, "ma") == rows
+        table = score_table(tiny_dataset, CFG, "ma")
+        path = write_score_csv(table, tmp_path / "scores_ma.csv")
+        assert read_score_csv(path, "ma") == table
 
     def test_round_trip_with_sentinels_and_exclusions(self, tmp_path):
         ds = dataset_from_series(
             series_from_columns("SEC0001", 70),  # constant rate -> inf sentinel
             series_from_columns("SEC0002", 70, availability=0.0),
+            series_from_columns("SEC0003", 70, short_interest=0.0),  # inf * 0 -> nan scores
         )
-        rows = score_table(ds, CFG, "ma")
-        assert rows[0].score_one == math.inf
-        path = write_score_csv(rows, tmp_path / "scores.csv")
+        table = score_table(ds, CFG, "ma")
+        assert next(iter(table)).score_one == math.inf
+        path = write_score_csv(table, tmp_path / "scores.csv")
         back = read_score_csv(path, "ma")
-        assert back[0].score_one == math.inf
-        assert back[1].excluded and back[1].reason == "zero_availability"
-        assert back[1].factors is not None
-        assert back[1].factors.ma_la == 0.0
+        assert back == table
+        first, second, third = back
+        assert first.score_one == math.inf
+        assert second.excluded and second.reason == "zero_availability"
+        assert second.availability == 0.0 and second.score_two is None
+        assert third.reason == "undefined_score" and math.isnan(third.score_two)
+        # an empty cell is a score the row lacks; "nan" is a computed NaN
+        lines = path.read_text().splitlines()
+        column = SCORE_CSV_COLUMNS.index("score_two")
+        assert [line.split(",")[column] for line in lines[2:]] == ["", "nan"]
 
     def test_deterministic_bytes(self, tmp_path, tiny_dataset):
-        rows = score_table(tiny_dataset, CFG, "ma")
-        a = write_score_csv(rows, tmp_path / "a.csv")
-        b = write_score_csv(rows, tmp_path / "b.csv")
+        table = score_table(tiny_dataset, CFG, "ma")
+        a = write_score_csv(table, tmp_path / "a.csv")
+        b = write_score_csv(table, tmp_path / "b.csv")
         assert a.read_bytes() == b.read_bytes()
+
+    def test_ids_and_reasons_are_quoted_as_csv_writer_quotes_them(self, tmp_path):
+        ds = dataset_from_series(
+            series_from_columns('A "quoted", id', 1), series_from_columns("B,1", 1)
+        )
+        table = score_table(ds, CFG, "ma")
+        path = write_score_csv(table, tmp_path / "scores.csv")
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[1] for r in rows] == ['A "quoted", id', "B,1"]
+        assert [r[SCORE_CSV_COLUMNS.index("reason")] for r in rows] == [r.reason for r in table]
+        assert read_score_csv(path, "ma") == table
 
     @pytest.mark.parametrize("column", ["availability", "short_interest", "rate_volatility"])
     def test_scored_row_missing_factor_cell_names_line(self, tmp_path, tiny_dataset, column):
@@ -395,6 +357,52 @@ class TestScoreCsv:
         path.write_text("\n".join([header] + lines) + "\n")
         with pytest.raises(SchemaError, match=rf"scores_ma\.csv: row 3: .*{column}"):
             read_score_csv(path, "ma")
+
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            (lambda cells: cells.__setitem__(0, "2021-01-05"), SchemaError, "row 3: a score table has one as-of date"),
+            (lambda cells: cells.__setitem__(2, ""), SchemaError, "row 3: column 'price' is empty"),
+            (lambda cells: cells.__setitem__(SCORE_CSV_COLUMNS.index("score_four"), "x"), ValueError,
+             "row 3: column 'score_four' is not numeric: 'x'"),
+            (lambda cells: cells.append("1.0"), SchemaError, "row 3: wrong number of fields"),
+        ],
+        ids=["mixed_dates", "empty_price", "bad_number", "extra_field"],
+    )
+    def test_malformed_rows_name_their_line(self, tmp_path, tiny_dataset, edit, error, message):
+        path = write_score_csv(score_table(tiny_dataset, CFG, "ma"), tmp_path / "scores_ma.csv")
+        header, *lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        edit(cells)
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join([header] + lines) + "\n")
+        with pytest.raises(error, match=message):
+            read_score_csv(path, "ma")
+
+    @pytest.mark.parametrize("spelling", ["-0", "5", "-0.0", "1e400", " 2.5", "1_0", ".5", "+1", "1E5", "NaN", "-inf"])
+    def test_cells_read_as_float_reads_them(self, tmp_path, spelling):
+        # columns are parsed in one JSON call where they can be; a cell JSON
+        # reads otherwise ("-0" is the int 0 there) must keep float()'s meaning
+        ds = dataset_from_series(
+            *(series_from_columns(f"SEC000{i}", 70, loan_rate=[0.04, 0.05 + i / 100] * 35) for i in range(3))
+        )
+        table = score_table(ds, CFG, "ma")
+        assert np.isfinite(table.values).all()  # every column takes the one-call path
+        path = write_score_csv(table, tmp_path / "scores_ma.csv")
+        header, *lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[SCORE_CSV_COLUMNS.index("score_four")] = spelling
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join([header] + lines) + "\n")
+        got = read_score_csv(path, "ma").column("score_four")[1]
+        assert repr(float(got)) == repr(float(spelling))
+
+    def test_header_only_file_reads_as_an_empty_table(self, tmp_path):
+        path = tmp_path / "scores_ma.csv"
+        path.write_text(",".join(SCORE_CSV_COLUMNS) + "\n")
+        table = read_score_csv(path, "ma")
+        assert len(table) == 0 and table.date is None
+        assert write_score_csv(table, tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 class TestConfigValidation:

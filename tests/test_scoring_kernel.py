@@ -3,12 +3,12 @@
 ``score_table`` computes a flavor for every security of a dataset in one
 numpy pass. The oracle below is the per-security path it replaced: one
 Python row at a time, every window sum a ``math.fsum`` and every squared
-deviation a Python ``**``. The two must write the same score-table bytes.
+deviation a Python ``**``, written one ``csv.writer`` row and one
+``repr()`` per cell. The two must give the same score-table bytes.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import datetime as dt
 import math
 import tempfile
@@ -25,12 +25,14 @@ from shortbasket.scoring import (
     ADV_WINDOW,
     FLAVORS,
     REASON_INSUFFICIENT_HISTORY,
+    REASON_UNDEFINED_SCORE,
     REASON_ZERO_ADV,
     REASON_ZERO_AVAILABILITY,
     REASON_ZERO_LOAN_BALANCE,
+    SCORE_CSV_COLUMNS,
     DerivedFactors,
     ScoreConfig,
-    ShortScoreRow,
+    ScoreTable,
     moving_average,
     rate_stats,
     score_four,
@@ -41,7 +43,7 @@ from shortbasket.scoring import (
     write_score_csv,
 )
 
-from conftest import dataset_from_series, series_from_columns
+from conftest import dataset_from_series, score_csv_oracle_bytes, series_from_columns
 
 SETTINGS = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -84,7 +86,8 @@ def oracle_level(values: Sequence[float], idx: int, flavor: str, window: int) ->
     return values[idx]
 
 
-def oracle_row(series: SecuritySeries, cfg: ScoreConfig, flavor: str) -> ShortScoreRow:
+def oracle_row(series: SecuritySeries, cfg: ScoreConfig, flavor: str) -> dict:
+    """The security's score-table row as column values; None marks an empty cell."""
     n = len(series)
     idx = 0 if flavor == "first_day" else n - 1
     price = float(series.column("price")[idx])
@@ -92,10 +95,9 @@ def oracle_row(series: SecuritySeries, cfg: ScoreConfig, flavor: str) -> ShortSc
     la = series.column("availability").tolist()
     volume = series.column("volume").tolist()
     balance = series.column("loan_balance").tolist()
-    base = dict(
+    row = dict(
         date=series.dates[idx],
         security_id=series.security_id,
-        flavor=flavor,
         price=price,
         loan_rate=float(series.column("loan_rate")[idx]),
         alt_loan_rate=float(series.column("alt_loan_rate")[idx]),
@@ -105,17 +107,9 @@ def oracle_row(series: SecuritySeries, cfg: ScoreConfig, flavor: str) -> ShortSc
     try:
         e_lr, sigma_lr = oracle_rate_stats(series, cfg, idx, flavor)
     except InsufficientHistory as exc:
-        return ShortScoreRow(
-            **base,
-            volume_view=volume[idx],
-            score_one=None,
-            score_two=None,
-            score_three=None,
-            score_four=None,
-            factors=None,
-            excluded=True,
-            reason=f"{REASON_INSUFFICIENT_HISTORY}: {exc}",
-        )
+        unscored = dict.fromkeys(SCORE_CSV_COLUMNS)
+        return {**unscored, **row, "volume": volume[idx], "excluded": True,
+                "reason": f"{REASON_INSUFFICIENT_HISTORY}: {exc}"}
 
     si_level = oracle_level(si, idx, flavor, cfg.ma_window)
     la_level = oracle_level(la, idx, flavor, cfg.ma_window)
@@ -139,30 +133,33 @@ def oracle_row(series: SecuritySeries, cfg: ScoreConfig, flavor: str) -> ShortSc
         la_usd=la_level * price,
         adv=adv,
     )
-    s2 = score_two(factors, cfg)
-    s3 = score_three(factors, cfg)
-    s4 = score_four(factors, cfg)
+    scores = [score_one(factors, cfg), score_two(factors, cfg), score_three(factors, cfg), score_four(factors, cfg)]
     reason = None
-    if s2 is None:
+    if scores[1] is None:
         reason = REASON_ZERO_AVAILABILITY
-    elif s3 is None:
+    elif scores[2] is None:
         reason = REASON_ZERO_ADV
-    elif s4 is None:
+    elif scores[3] is None:
         reason = REASON_ZERO_LOAN_BALANCE
-    return ShortScoreRow(
-        **base,
-        volume_view=volume_view,
-        score_one=score_one(factors, cfg),
-        score_two=s2,
-        score_three=s3,
-        score_four=s4,
-        factors=factors,
-        excluded=reason is not None,
-        reason=reason,
-    )
+    elif any(math.isnan(s) for s in scores):
+        reason = REASON_UNDEFINED_SCORE
+    return {
+        **row,
+        "availability": la_level,
+        "short_interest": si_level,
+        "volume": volume_view,
+        "rate_volatility": sigma_lr,
+        **dict(zip(("score_one", "score_two", "score_three", "score_four"), scores)),
+        "excluded": reason is not None,
+        "reason": reason,
+        "e_lr": e_lr,
+        "dtc": dtc,
+        "lbg": lbg,
+        "adv": adv,
+    }
 
 
-def oracle_table(dataset: LendingDataset, cfg: ScoreConfig, flavor: str) -> list[ShortScoreRow]:
+def oracle_table(dataset: LendingDataset, cfg: ScoreConfig, flavor: str) -> list[dict]:
     return [oracle_row(series, cfg, flavor) for series in dataset.series]
 
 
@@ -223,18 +220,17 @@ def score_configs(draw, n_days: int) -> ScoreConfig:
     )
 
 
-def table_bytes(rows: list[ShortScoreRow]) -> bytes:
+def table_bytes(table: ScoreTable) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
-        return write_score_csv(rows, Path(tmp) / "scores.csv").read_bytes()
+        return write_score_csv(table, Path(tmp) / "scores.csv").read_bytes()
 
 
-def assert_python_floats(rows: list[ShortScoreRow]) -> None:
-    for row in rows:
-        for obj in (row, row.factors):
-            for f in dataclasses.fields(obj) if obj is not None else ():
-                value = getattr(obj, f.name)
-                if f.type in ("float", "float | None"):
-                    assert value is None or type(value) is float, (f.name, type(value))
+def assert_python_values(table: ScoreTable) -> None:
+    for row in table:
+        for name, value in row._asdict().items():
+            if name not in ("date", "security_id", "excluded", "reason"):
+                assert value is None or type(value) is float, (name, type(value))
+        assert type(row.excluded) is bool and type(row.security_id) is str
 
 
 @SETTINGS
@@ -244,8 +240,8 @@ def test_kernel_bytes_match_per_row_oracle(data):
     cfg = data.draw(score_configs(len(dataset.dates)))
     flavor = data.draw(st.sampled_from(FLAVORS))
     got = score_table(dataset, cfg, flavor)
-    assert_python_floats(got)
-    assert table_bytes(got) == table_bytes(oracle_table(dataset, cfg, flavor))
+    assert_python_values(got)
+    assert table_bytes(got) == score_csv_oracle_bytes(oracle_table(dataset, cfg, flavor))
 
 
 @SETTINGS
@@ -271,8 +267,8 @@ def test_panel_forms_match_single_series_forms(data):
 
 def test_sentinels_and_exclusions_match_oracle():
     # constant rates above, at and below rf (score one +inf, 0, -inf);
-    # +inf times zero short interest (NaN); zero availability, volume and
-    # loan balance
+    # +inf times zero short interest (NaN scores); zero availability,
+    # volume and loan balance
     ramp = np.linspace(0.01, 0.05, 30)
     dataset = dataset_from_series(
         series_from_columns("A", 30, loan_rate=0.05),
@@ -286,15 +282,16 @@ def test_sentinels_and_exclusions_match_oracle():
     cfg = ScoreConfig(ma_window=10, vol_window=10, lbg_lag=5)
     for flavor in FLAVORS:
         got = score_table(dataset, cfg, flavor)
-        assert table_bytes(got) == table_bytes(oracle_table(dataset, cfg, flavor))
+        assert table_bytes(got) == score_csv_oracle_bytes(oracle_table(dataset, cfg, flavor))
         by_id = {r.security_id: r for r in got}
         assert by_id["A"].score_one == math.inf
         assert by_id["B"].score_one == 0.0
         assert by_id["C"].score_one == -math.inf
         assert math.isnan(by_id["D"].score_two)
-        assert [by_id[s].reason for s in "EFG"] == [
-            REASON_ZERO_AVAILABILITY, REASON_ZERO_ADV, REASON_ZERO_LOAN_BALANCE
+        assert [by_id[s].reason for s in "DEFG"] == [
+            REASON_UNDEFINED_SCORE, REASON_ZERO_AVAILABILITY, REASON_ZERO_ADV, REASON_ZERO_LOAN_BALANCE
         ]
+        assert [by_id[s].excluded for s in "ABCDEFG"] == [False] * 3 + [True] * 4
 
 
 def test_rate_volatility_squares_with_python_pow():
@@ -304,16 +301,17 @@ def test_rate_volatility_squares_with_python_pow():
     dataset = dataset_from_series(series_from_columns("SEC0001", len(rates), loan_rate=rates))
     cfg = ScoreConfig(ma_window=5, vol_window=5, lbg_lag=5)
     for flavor in FLAVORS:
-        row = score_table(dataset, cfg, flavor)[0]
-        assert row.factors.sigma_lr == oracle_sample_std(rates)
-        assert table_bytes([row]) == table_bytes(oracle_table(dataset, cfg, flavor))
+        table = score_table(dataset, cfg, flavor)
+        [row] = table
+        assert row.rate_volatility == oracle_sample_std(rates)
+        assert table_bytes(table) == score_csv_oracle_bytes(oracle_table(dataset, cfg, flavor))
 
 
 def test_single_day_excludes_every_row_with_its_own_reason():
     dataset = dataset_from_series(series_from_columns("AAA", 1), series_from_columns("BBB", 1))
     for flavor in FLAVORS:
         got = score_table(dataset, ScoreConfig(), flavor)
-        assert table_bytes(got) == table_bytes(oracle_table(dataset, ScoreConfig(), flavor))
+        assert table_bytes(got) == score_csv_oracle_bytes(oracle_table(dataset, ScoreConfig(), flavor))
         assert [r.reason for r in got] == [
             f"{REASON_INSUFFICIENT_HISTORY}: {s}: need >= 2 observations in the volatility window, have 1"
             for s in ("AAA", "BBB")
@@ -322,4 +320,6 @@ def test_single_day_excludes_every_row_with_its_own_reason():
 
 def test_empty_dataset_scores_no_rows():
     dataset = LendingDataset(dates=(), security_ids=(), values=np.empty((len(VARIABLES), 0, 0)), profiles=())
-    assert score_table(dataset, ScoreConfig(), "ma") == []
+    table = score_table(dataset, ScoreConfig(), "ma")
+    assert len(table) == 0 and list(table) == []
+    assert table_bytes(table) == score_csv_oracle_bytes([])
