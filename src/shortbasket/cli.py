@@ -27,12 +27,21 @@ from pathlib import Path
 from . import portfolio as portfolio_mod
 from . import scoring, screener
 from .config import RunConfig, load_run_config, resolved_config_json
-from .datastore import atomic_write_text, export_csv, ingest_csv, load_profiles
+from .datastore import (
+    atomic_write_text,
+    check_header,
+    csv_records,
+    export_csv,
+    ingest_csv,
+    load_profiles,
+    parse_float,
+)
 from .errors import ShortBasketError
 from .pathdiag import make_scenario
 from .simulate import simulate_universe
 
 CONFIG_ECHO_FILENAME = "config_resolved.json"
+RANKING_COLUMNS = ("rank", "security_id", "score", "filter_trace")
 
 _FLAVOR_BY_FLAG = {"ma": "ma", "first-day": "first_day", "last-day": "last_day"}
 _FLAG_BY_FLAVOR = {v: k for k, v in _FLAVOR_BY_FLAG.items()}
@@ -139,7 +148,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     trace = "|".join(screener.FILTER_ORDER)
     _write_rows(
         out_dir / "ranking.csv",
-        ("rank", "security_id", "score", "filter_trace"),
+        RANKING_COLUMNS,
         [[str(r.rank), r.security_id, repr(r.score), trace] for r in ranked],
     )
     exclusion_rows = [[e.security_id, e.reason] for e in excluded]
@@ -153,15 +162,24 @@ def cmd_rank(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_portfolio(args: argparse.Namespace) -> int:
-    with open(args.ranking, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    scores = tuple(float(raw["score"]) for raw in rows)
-    ranked = screener.Ranking(
-        security_ids=tuple(raw["security_id"] for raw in rows),
-        scores=scores,
+def _read_ranking(path: Path) -> screener.Ranking:
+    """The ids and scores of a ranking.csv, in file order; a malformed file is named with its row."""
+    ids, scores = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        check_header(next(reader, []), RANKING_COLUMNS, path)
+        for line, (_, security_id, score, _) in csv_records(reader, RANKING_COLUMNS, path):
+            ids.append(security_id)
+            scores.append(parse_float(score, "score", path, line))
+    return screener.Ranking(
+        security_ids=tuple(ids),
+        scores=tuple(scores),
         premium_signs=tuple((s > 0) - (s < 0) for s in scores),
     )
+
+
+def cmd_portfolio(args: argparse.Namespace) -> int:
+    ranked = _read_ranking(Path(args.ranking))
     allocation = portfolio_mod.construct(ranked, args.top, args.cap)
     out_dir = Path(args.out)
     _write_rows(

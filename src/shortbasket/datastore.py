@@ -323,7 +323,8 @@ def export_csv(dataset: LendingDataset, out_dir: Path | str) -> tuple[Path, Path
     return obs_path, prof_path
 
 
-def _check_header(got: Sequence[str], expected: Sequence[str], path: Path) -> None:
+def check_header(got: Sequence[str], expected: Sequence[str], path: Path) -> None:
+    """Raise SchemaError naming the file unless its header is exactly ``expected``."""
     if tuple(got) != tuple(expected):
         missing = [c for c in expected if c not in got]
         extra = [c for c in got if c not in expected]
@@ -333,7 +334,7 @@ def _check_header(got: Sequence[str], expected: Sequence[str], path: Path) -> No
         )
 
 
-def _records(reader: Iterator[list[str]], columns: Sequence[str], path: Path, start: int = 2) -> Iterator:
+def csv_records(reader: Iterator[list[str]], columns: Sequence[str], path: Path, start: int = 2) -> Iterator:
     """``(line, row)`` of each non-blank record, numbered from ``start``."""
     for line, row in enumerate(filter(None, reader), start=start):
         if len(row) != len(columns):
@@ -341,7 +342,8 @@ def _records(reader: Iterator[list[str]], columns: Sequence[str], path: Path, st
         yield line, row
 
 
-def _parse_float(raw: str, column: str, path: Path, line: int) -> float:
+def parse_float(raw: str, column: str, path: Path, line: int) -> float:
+    """``float(raw)``, or a ValueError naming the file, row and column."""
     try:
         return float(raw)
     except ValueError as exc:
@@ -389,7 +391,7 @@ def _parse_records(records: Iterable[tuple[int, list[str]]], path: Path) -> tupl
             values.extend(map(float, row[2:]))
         except ValueError:
             for column, raw in zip(VARIABLES, row[2:]):
-                _parse_float(raw, column, path, line)
+                parse_float(raw, column, path, line)
     return dates, ids, values
 
 
@@ -399,12 +401,12 @@ def load_profiles(path: Path | str) -> dict[str, SecurityProfile]:
     profiles: dict[str, SecurityProfile] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        _check_header(next(reader, []), PROFILE_COLUMNS, path)
-        for line, (security_id, market, buy_rating, beta) in _records(reader, PROFILE_COLUMNS, path):
+        check_header(next(reader, []), PROFILE_COLUMNS, path)
+        for line, (security_id, market, buy_rating, beta) in csv_records(reader, PROFILE_COLUMNS, path):
             if security_id in profiles:
                 raise SchemaError(f"{path}: row {line}: duplicate profile for {security_id}")
-            buy_rating = _parse_float(buy_rating, "buy_rating", path, line)
-            beta = _parse_float(beta, "beta", path, line)
+            buy_rating = parse_float(buy_rating, "buy_rating", path, line)
+            beta = parse_float(beta, "beta", path, line)
             try:
                 profiles[security_id] = SecurityProfile(security_id, market, buy_rating, beta)
             except ValueError as exc:
@@ -456,7 +458,7 @@ def ingest_csv(data_dir: Path | str) -> LendingDataset:
 
     with open(obs_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        _check_header(next(reader, []), OBSERVATION_COLUMNS, obs_path)
+        check_header(next(reader, []), OBSERVATION_COLUMNS, obs_path)
         line = 2
         for lines in iter(functools.partial(fh.readlines, _INGEST_CHUNK_CHARS), []):
             text = "".join(lines)
@@ -464,13 +466,13 @@ def ingest_csv(data_dir: Path | str) -> LendingDataset:
                 # A quoted field may span lines, and the csv module of
                 # Python 3.10 rejects NUL: it reads the rest of the file.
                 reader = csv.reader(itertools.chain(lines, fh))
-                records = _records(reader, OBSERVATION_COLUMNS, obs_path, line)
+                records = csv_records(reader, OBSERVATION_COLUMNS, obs_path, line)
                 for batch in iter(lambda: list(itertools.islice(records, _INGEST_CHUNK_ROWS)), []):
                     append(_parse_records(batch, obs_path))
                 break
             parsed = _parse_lines(lines)
             if parsed is None:
-                records = _records(csv.reader(lines), OBSERVATION_COLUMNS, obs_path, line)
+                records = csv_records(csv.reader(lines), OBSERVATION_COLUMNS, obs_path, line)
                 parsed = _parse_records(records, obs_path)
             line += append(parsed)
     row_dates, row_ids, cells = row_dates[:n_rows], row_ids[:n_rows], cells[:n_rows]

@@ -289,8 +289,8 @@ def make_scenario(
         raise ValueError(f"kind must be 1, 2, or 3, got {kind}")
     if length < 4:
         raise ValueError(f"length must be >= 4, got {length}")
-    if kind in (1, 2) and target_return <= 0:
-        raise ValueError(f"kind {kind} needs a positive target return, got {target_return}")
+    if kind in (1, 2) and not (math.isfinite(target_return) and target_return > 0):
+        raise ValueError(f"kind {kind} needs a positive finite target return, got {target_return}")
     if kind == 3 and not -1 < target_return < 0:
         raise ValueError(f"kind 3 needs a target return in (-1, 0), got {target_return}")
 

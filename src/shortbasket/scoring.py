@@ -40,10 +40,15 @@ A table is computed for the whole cross-section at once. Every security
 shares the dataset's calendar, so the as-of day and each window are the
 same columns of the ``(securities, days)`` panel for every row; the
 elementwise arithmetic and the sentinels run in numpy. Each window sum
-is an exactly rounded ``math.fsum`` of its row and each squared
-deviation a Python ``**``, so a security's figures are those of scoring
-it alone, whatever panel it sits in. ``moving_average`` and
-``rate_stats`` accept a single series or a panel.
+is exactly rounded, bit for bit what ``math.fsum`` gives for its row:
+every row is split error-free around a power of two (the ExtractVector
+step of Rump, Ogita and Oishi, "Accurate floating-point summation,
+part I", 2008) and its sum is kept where an error bound certifies it,
+while the rows the bound cannot settle go through ``math.fsum``. Each
+squared deviation is ``np.float_power(d, 2.0)``, the libm ``pow`` of
+Python's ``d ** 2.0``. So a security's figures are those of scoring it
+alone, whatever panel it sits in. ``moving_average`` and ``rate_stats``
+accept a single series or a panel.
 
 The result is a :class:`ScoreTable`: the as-of date, the flavor, the id
 tuple and one float64 array per numeric column of the score-table CSV,
@@ -253,13 +258,67 @@ class ScoreTable:
         )
 
 
+# Rows the split sum takes: magnitudes well inside the double range, and
+# lengths short enough that 4 * n**2 is exact and n * u stays tiny.
+_SPLIT_TINY = 2.0**-900
+_SPLIT_HUGE = 2.0**900
+_SPLIT_MAX_LENGTH = 2**20
+
+
+def _split_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums by one error-free split each, and where each is certified exactly rounded.
+
+    Each row is split at ``sigma = 2**(e + ceil(log2(n + 2)))``, where
+    ``max|x| < 2**e`` (the ExtractVector step of Rump, Ogita and Oishi,
+    "Accurate floating-point summation, part I", SIAM J. Sci. Comput.
+    31(1), 2008): ``high = (sigma + x) - sigma`` and ``low = x - high``
+    are exact, the sum of ``high`` is exact in any order, and the sum of
+    ``low`` is off by at most ``2 n**2 u**2 sigma`` in any order
+    (``u = 2**-53``). TwoSum adds the two and gives the rounding error of
+    that addition. A sum is certified where twice the bound plus that
+    error stays below half the gap to the nearer neighbouring double, so
+    the exact row sum rounds to it. Neither numpy's summation order nor
+    its accumulator can change a certified sum.
+    """
+    n = rows.shape[1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        work = np.abs(rows)
+        top = work.max(axis=1)
+        split = (top >= _SPLIT_TINY) & (top <= _SPLIT_HUGE)
+        scale = np.frexp(top)[1] + (n + 1).bit_length()
+        sigma = np.ldexp(1.0, scale)[:, np.newaxis]
+        high = np.add(rows, sigma, out=work)
+        high -= sigma
+        total = high.sum(axis=1)
+        tail = np.subtract(rows, high, out=work).sum(axis=1)
+        sums = total + tail
+        back = sums - total
+        error = (total - (sums - back)) + (tail - back)
+        # A double's nearer neighbour is the one toward zero. A zero sum
+        # has no gap there, so it is never certified and fsum signs it.
+        size = np.abs(sums)
+        gap = size - np.nextafter(size, 0.0)
+        bound = np.ldexp(4.0 * n * n, scale - 106)
+        certified = split & (bound < 0.5 * gap - np.abs(error))
+    return sums, certified
+
+
 def _row_fsums(block: np.ndarray) -> np.ndarray:
-    """Exactly rounded ``math.fsum`` along the last axis, one per row."""
-    # One row of Python floats at a time: a whole block of them takes
-    # fresh allocator arenas, which objects created meanwhile keep from
-    # being released, and a run's peak memory grows.
-    rows = block.reshape(-1, block.shape[-1])
-    sums = np.fromiter(map(math.fsum, map(np.ndarray.tolist, rows)), float, len(rows))
+    """Exactly rounded sums along the last axis, one per row: ``math.fsum``'s bits.
+
+    Rows are summed at once by :func:`_split_sums`. ``math.fsum`` itself
+    sums the rows it does not certify: near-ties, a zero sum (whose sign
+    is fsum's), non-finite input, a largest magnitude outside
+    ``[2**-900, 2**900]`` and rows longer than ``2**20``. Those give
+    fsum's value or raise its exception.
+    """
+    rows = block.reshape(math.prod(block.shape[:-1]), block.shape[-1])
+    if 0 < rows.shape[1] <= _SPLIT_MAX_LENGTH:
+        sums, certified = _split_sums(rows)
+    else:
+        sums, certified = np.empty(len(rows)), np.zeros(len(rows), dtype=bool)
+    for i in np.flatnonzero(~certified).tolist():
+        sums[i] = math.fsum(rows[i].tolist())
     return sums.reshape(block.shape[:-1])
 
 
@@ -299,9 +358,11 @@ def rate_stats(
 
     For a series the result is two floats; for a dataset it is two
     arrays with one value per security, computed for the whole panel at
-    once. Every sum is an exactly rounded ``math.fsum`` and every squared
-    deviation a Python ``**``, so a security's figures do not depend on
-    the panel it is computed in.
+    once. Every sum has the bits of ``math.fsum`` (see :func:`_row_fsums`)
+    and every squared deviation is ``np.float_power(d, 2.0)``, the libm
+    ``pow`` that Python's ``d ** 2.0`` calls, so a security's figures do
+    not depend on the panel it is computed in. A square that overflows
+    raises OverflowError, as ``**`` does.
     """
     _check_flavor(flavor)
     single = isinstance(data, SecuritySeries)
@@ -324,13 +385,16 @@ def rate_stats(
         )
     mean = _row_fsums(window_vals) / n
     deviations = window_vals - mean[:, np.newaxis]
-    # Python's ** (libm pow; ** 2.0 is the same call as ** 2) rather than
-    # d * d: the two differ in the last bit for some doubles, which would
-    # move rate_volatility.
-    squares = np.fromiter(
-        (math.fsum([d**2.0 for d in row.tolist()]) for row in deviations), float, len(deviations)
-    )
-    sigma_lr = np.sqrt(squares / (n - 1))
+    # np.float_power calls libm pow, as Python's ** does (** 2.0 is the
+    # same call as ** 2). d * d, np.square and np.power differ from it in
+    # the last bit for some doubles, which would move rate_volatility.
+    with np.errstate(over="ignore"):
+        squares = np.float_power(deviations, 2.0)
+    if np.isinf(squares).any():
+        # Python's ** raises OverflowError where a finite square overflows.
+        for d in deviations[np.isinf(squares)].tolist():
+            d**2.0
+    sigma_lr = np.sqrt(_row_fsums(squares) / (n - 1))
 
     if flavor == "ma":
         e_lr = moving_average(rates[:, : idx + 1], cfg.ma_window)

@@ -246,6 +246,34 @@ class TestPortfolio:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "allocation.csv").exists()
 
+    def test_missing_score_column_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "ranking.csv"
+        path.write_text("rank,security_id,filter_trace\n1,SEC0001,\n")
+        code = run(["portfolio", "--ranking", str(path), "--top", "1",
+                    "--cap", "1.0", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "'score'" in err and "header" in err
+        assert not (tmp_path / "allocation.csv").exists()
+
+    def test_non_numeric_score_names_the_file_and_row(self, tmp_path, capsys):
+        path = self.write_ranking(tmp_path, [2.0, 3.0])
+        path.write_text(path.read_text().replace("3.0", "abc"))
+        code = run(["portfolio", "--ranking", str(path), "--top", "2",
+                    "--cap", "1.0", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{path}: row 3: column 'score' is not numeric: 'abc'" in err
+        assert not (tmp_path / "allocation.csv").exists()
+
+    def test_short_row_names_the_file_and_row(self, tmp_path, capsys):
+        path = self.write_ranking(tmp_path, [2.0, 3.0])
+        path.write_text(path.read_text() + "3,SEC0003\n")
+        code = run(["portfolio", "--ranking", str(path), "--top", "2",
+                    "--cap", "1.0", "--out", str(tmp_path)])
+        assert code == 1
+        assert f"{path}: row 4: wrong number of fields" in capsys.readouterr().err
+
 
 class TestDiagnoseVol:
     def test_writes_paths_and_verified_report(self, tmp_path):
@@ -263,6 +291,13 @@ class TestDiagnoseVol:
     def test_bad_target_sign_exits_one(self, tmp_path):
         assert run(["diagnose-vol", "--kind", "1", "--target-return", "-0.05",
                     "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("target", ["nan", "inf"])
+    def test_non_finite_target_exits_one_naming_it(self, tmp_path, capsys, target):
+        assert run(["diagnose-vol", "--kind", "1", "--target-return", target,
+                    "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"got {target}" in err and "attempts" not in err
 
 
 class TestIngestCheck:

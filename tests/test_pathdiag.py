@@ -138,6 +138,12 @@ class TestScenarios:
         with pytest.raises(ValueError):
             make_scenario(4, 0.05)
 
+    @pytest.mark.parametrize("kind", [1, 2, 3])
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_is_rejected_before_any_attempt(self, kind, target):
+        with pytest.raises(ValueError, match=f"got {target}$"):
+            make_scenario(kind, target)
+
     def test_report_text_lists_all_clauses(self):
         result = make_scenario(2, 0.09, length=12, seed=3)
         text = result.report_text()
