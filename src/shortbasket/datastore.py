@@ -15,7 +15,8 @@ profiles.csv::
 
     security_id,market,buy_rating,beta
 
-Dates are ISO-8601, decimals use ``.``. A float is written as Python's
+Dates are written YYYY-MM-DD, the only spelling ingest accepts, and
+decimals use ``.``. A float is written as Python's
 shortest round-trip ``repr()`` text, so values round-trip exactly and
 identical datasets always produce identical bytes. observations.csv
 gets that text in bulk: orjson formats each security's block of values
@@ -25,15 +26,21 @@ shares this codec (``float_rows_text``). Export orders rows by
 (security_id, date) and streams them to the file one security at a
 time.
 
-Ingest reads observations.csv in chunks of whole lines and parses the
-seven value columns of a chunk with one orjson call. A chunk that holds
-anything but plain JSON numbers there (``.5``, ``+1``, ``nan``, quoted
-fields ...) is parsed cell by cell with ``float()`` instead, so the
-accepted spellings and the error messages are those of ``float()``.
-Ingest accepts the rows in any order of securities, date-major desk
-files included, provided each security's dates are strictly increasing
-and every security has the same dates. Non-finite values (``nan``,
-``inf``) are rejected with their file, row and column.
+Ingest reads observations.csv as bytes, in chunks of whole lines. In
+each chunk one numpy pass finds every comma and line feed, the dates
+and ids are coded with only their distinct values decoded, and one
+orjson call parses the seven value columns. A chunk that holds anything
+else (``.5``, ``+1``, ``nan``, ``-0``, blank lines, a bare CR ...) is
+parsed cell by cell with ``csv`` and ``float()`` instead, and a chunk
+with a quote or NUL sends the rest of the file there, so the accepted
+spellings and the error messages are those of ``float()``. Bytes that
+are not UTF-8 are rejected with their file and row. The rows land in a
+variable-major buffer; rows already in (security_id, date) order, as
+export writes them, become the panel with no copy. Ingest also accepts
+the rows in any other order of securities, date-major desk files
+included, provided each security's dates are strictly increasing and
+every security has the same dates. Non-finite values (``nan``, ``inf``)
+are rejected with their file, row and column.
 """
 
 from __future__ import annotations
@@ -80,13 +87,21 @@ PROFILE_COLUMNS = ("security_id", "market", "buy_rating", "beta")
 # 1e-05 and 1e+16 where orjson writes 0.00001 and 1e16. For zero and
 # magnitudes in [_ORJSON_REPR_MIN, _ORJSON_REPR_MAX) the two texts are equal.
 _ORJSON_REPR_MIN, _ORJSON_REPR_MAX = 1e-4, 1e16
-# Ingest parses observations.csv about this many characters at a time,
-# or this many rows where the csv module reads the rest of the file. This
-# bounds the memory the parse holds besides the values themselves.
-_INGEST_CHUNK_CHARS = 1 << 17
-_INGEST_CHUNK_ROWS = 2048
-# "-0" parses as the int 0 in JSON but as -0.0 under float().
-_NEGATIVE_INT_ZERO = re.compile(r"(?<![eE])-0(?![.eE])")
+# Ingest reads observations.csv in chunks of whole lines of about this
+# many bytes. This bounds the memory the parse holds besides the values.
+_INGEST_CHUNK_CHARS = 1 << 20
+# The only date spelling ingest accepts; date.fromisoformat of Python 3.11
+# also reads 20210104 and 2021-W01-1.
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# Decoding with "surrogateescape" turns each byte that is not UTF-8 into one of these.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+_COMMA, _LINE_FEED, _CARRIAGE_RETURN, _SPACE = b",\n\r "
+# Each observation line ends its fields with these: a comma after each but the last, then a line feed.
+_LINE_ENDS = np.array([_COMMA] * (len(OBSERVATION_COLUMNS) - 1) + [_LINE_FEED], dtype=np.uint8)
+# What the value columns of a chunk may hold for its one orjson call: digits, signs,
+# exponents, the commas between values, the spaces that blank each date and id,
+# and the CR of a CRLF line end, which JSON reads as whitespace.
+_JSON_NUMBER_BYTES = b"0123456789.eE+-, \r"
 
 
 @dataclass(frozen=True)
@@ -141,6 +156,8 @@ class LendingDataset:
     the sourcing loan rate. Ids are sorted and unique, dates strictly
     increasing, and ``profiles`` holds one profile per id, in id order.
     The dataset takes ownership of ``values`` and makes it read-only.
+    ``values`` may be a view of a larger buffer: ingest hands over a view
+    of the row buffer it parsed a file into.
     """
 
     dates: tuple[dt.date, ...]
@@ -266,7 +283,7 @@ def float_rows_text(block: np.ndarray, blank: np.ndarray | None = None) -> list[
     call, every row whose values all lie where its text equals ``repr()``;
     ``repr()`` formats the other rows, non-finite values included.
     """
-    # Imported here and in _parse_lines, not with the module: a process
+    # Imported here and in _parse_chunk, not with the module: a process
     # that reads and writes no CSV values does not load orjson.
     import orjson
 
@@ -350,67 +367,168 @@ def parse_float(raw: str, column: str, path: Path, line: int) -> float:
         raise ValueError(f"{path}: row {line}: column {column!r} is not numeric: {raw!r}") from exc
 
 
-def _parse_lines(lines: list[str]) -> tuple[Sequence[str], Sequence[str], array] | None:
-    """``(dates, ids, values)`` of unquoted observation lines, the values parsed in one orjson call.
+def _parse_chunk(chunk: bytes) -> tuple[list[str], np.ndarray, list[str], np.ndarray, np.ndarray] | None:
+    """The observation lines of ``chunk`` parsed in bulk: ``(dates, date_codes, ids, id_codes, values)``.
 
-    None when any line is blank or has the wrong number of fields, or any
-    value cell is not a plain JSON number: such lines take the per-cell
-    path, which accepts what ``float()`` accepts and names a bad row.
+    ``dates`` and ``ids`` hold the distinct strings of the chunk in order of
+    first appearance, ``date_codes`` and ``id_codes`` index them row by row,
+    and ``values`` is ``(rows, variables)``. One numpy pass finds every
+    comma and line feed, only the distinct dates and ids are decoded, and
+    one orjson call parses every value. The chunk holds no quote or NUL.
+    None when it holds a blank line, a CR anywhere but before a line feed,
+    a line without exactly nine fields, a date field that is not ten
+    bytes, bytes that are not UTF-8, or a value cell that is not a plain
+    JSON number: the per-cell path reads such chunks, accepting what
+    ``float()`` accepts and naming a bad row.
     """
     import orjson
 
-    rows = [line.split(",", 2) for line in lines]
-    if set(map(len, rows)) != {3}:
+    if not chunk.endswith(b"\n"):
+        chunk += b"\n"
+    # text[k + 1] is chunk[k]; text[0] becomes the "[" of the JSON list.
+    text = bytearray(b" ") + chunk
+    raw = np.frombuffer(text, dtype=np.uint8)
+    separator = raw == _COMMA
+    separator |= raw == _LINE_FEED
+    ends = np.flatnonzero(separator)
+    if ends.size % len(_LINE_ENDS):
         return None
-    dates, ids, tails = zip(*rows)
-    if set(map(str.count, tails, itertools.repeat(","))) != {len(VARIABLES) - 1}:
+    ends = ends.reshape(-1, len(_LINE_ENDS))
+    if not np.array_equal(raw[ends], np.broadcast_to(_LINE_ENDS, ends.shape)):
         return None
-    # Each tail keeps its line ending, which JSON reads as whitespace.
-    text = "[" + ",".join(tails) + "]"
+    if b"\r" in chunk:
+        cr = raw == _CARRIAGE_RETURN
+        if np.count_nonzero(cr) != np.count_nonzero(cr[ends[:, -1] - 1]):
+            return None
+    starts = np.concatenate(([1], ends[:-1, -1] + 1))
+    date_ends, id_ends = ends[:, 0], ends[:, 1]
+    date_width = len("YYYY-MM-DD")
+    if not (date_ends - starts == date_width).all():
+        return None
+    id_lengths = id_ends - date_ends - 1
+    id_width = max(int(id_lengths.max()), 1)
+    offsets = np.arange(id_width)
+    # Each field as one fixed-width bytes value: ids are NUL-padded, which
+    # no id holds, since a chunk with a NUL never comes here.
+    id_bytes = np.take(raw, (date_ends + 1)[:, None] + offsets, mode="clip")
+    id_bytes[offsets >= id_lengths[:, None]] = 0
+    fields = []
+    for block, width in ((raw[starts[:, None] + np.arange(date_width)], date_width), (id_bytes, id_width)):
+        distinct, first, codes = np.unique(block.view(f"S{width}")[:, 0], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        try:
+            fields += [[value.decode() for value in distinct[order].tolist()], rank[codes.reshape(-1)]]
+        except UnicodeDecodeError:
+            return None
+    # Blank each "date,id," to spaces and turn each line feed into a comma,
+    # but the last into a space: the values of the chunk are then a JSON list.
+    prefix = np.arange(date_width + 2 + id_width)
+    blank = starts[:, None] + prefix
+    if id_lengths.min() != id_width:
+        blank = blank[prefix <= (id_ends - starts)[:, None]]
+    raw[blank] = _SPACE
+    raw[ends[:, -1]] = _COMMA
+    raw[-1] = _SPACE
+    if text.translate(None, _JSON_NUMBER_BYTES):
+        return None
+    # JSON reads "-0" as the int 0, where float() reads -0.0.
+    if b"-" in text and any(b"-0" + end in text for end in (b",", b" ", b"\r")):
+        return None
+    raw[0], raw[-1] = b"[]"
     try:
-        values = orjson.loads(text)
+        values = np.array(orjson.loads(text), dtype=np.float64)
     except orjson.JSONDecodeError:
         return None
-    # orjson also takes true, null, strings and lists, which float()
-    # rejects and array("d") would take or fail on.
-    kinds = set(map(type, values))
-    if len(values) != len(VARIABLES) * len(tails) or not kinds <= {float, int}:
-        return None
-    if int in kinds and _NEGATIVE_INT_ZERO.search(text):
-        return None
-    return dates, ids, array("d", values)
+    return (*fields, values.reshape(len(ends), len(VARIABLES)))
 
 
-def _parse_records(records: Iterable[tuple[int, list[str]]], path: Path) -> tuple[list, list, array]:
-    """``(dates, ids, values)`` of csv records, each value parsed by ``float()``."""
-    dates, ids, values = [], [], array("d")
-    for line, row in records:
-        dates.append(row[0])
-        ids.append(row[1])
-        try:
-            values.extend(map(float, row[2:]))
-        except ValueError:
-            for column, raw in zip(VARIABLES, row[2:]):
-                parse_float(raw, column, path, line)
-    return dates, ids, values
+def _first_appearance_codes(strings: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct strings in order of first appearance, and the index of each string among them."""
+    distinct = list(dict.fromkeys(strings))
+    index = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(index.__getitem__, strings), np.intp, len(strings))
+
+
+def _text_lines(chunk: bytes) -> list[str]:
+    """The lines of ``chunk`` as a text file opened with ``newline=""`` reads them.
+
+    Bytes that are not UTF-8 decode to lone surrogates, which
+    :func:`_check_utf8` reports with the row that holds them.
+    """
+    return io.StringIO(chunk.decode("utf-8", "surrogateescape"), newline="").readlines()
+
+
+def _csv_rows(chunks: Iterable[bytes]) -> Iterator[list[str]]:
+    """csv.reader over chunks of whole lines, as over a text file opened with ``newline=""``."""
+    return csv.reader(itertools.chain.from_iterable(map(_text_lines, chunks)))
+
+
+def _check_utf8(row: Sequence[str], path: Path, line: int) -> None:
+    if _UNDECODABLE.search("".join(row)):
+        raise ValueError(f"{path}: row {line}: not UTF-8")
+
+
+def _parse_records(records: Iterable[tuple[int, list[str]]], path: Path) -> tuple:
+    """``_parse_chunk``'s result for csv records, each value parsed by ``float()``."""
+    lines, dates, ids, values = [], [], [], array("d")
+
+    def check_utf8() -> None:
+        # One search over the records so far; a search row by row only to name the row.
+        if _UNDECODABLE.search("".join(dates) + "".join(ids)):
+            for line, date, security_id in zip(lines, dates, ids):
+                _check_utf8((date, security_id), path, line)
+
+    try:
+        for line, row in records:
+            lines.append(line)
+            dates.append(row[0])
+            ids.append(row[1])
+            try:
+                values.extend(map(float, row[2:]))
+            except ValueError:
+                check_utf8()
+                _check_utf8(row, path, line)
+                for column, raw in zip(VARIABLES, row[2:]):
+                    parse_float(raw, column, path, line)
+    except SchemaError:  # a later row with the wrong number of fields
+        check_utf8()
+        raise
+    check_utf8()
+    return (
+        *_first_appearance_codes(dates),
+        *_first_appearance_codes(ids),
+        np.frombuffer(values).reshape(-1, len(VARIABLES)),
+    )
+
+
+def _parse_date(raw: str) -> dt.date:
+    """The date ``raw`` spells as YYYY-MM-DD; ValueError for any other spelling."""
+    if not _ISO_DATE.fullmatch(raw):
+        raise ValueError(f"not YYYY-MM-DD: {raw!r}")
+    return dt.date.fromisoformat(raw)
 
 
 def load_profiles(path: Path | str) -> dict[str, SecurityProfile]:
     """Read and validate a profiles.csv into an id-keyed mapping, in file order."""
     path = Path(path)
     profiles: dict[str, SecurityProfile] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        check_header(next(reader, []), PROFILE_COLUMNS, path)
-        for line, (security_id, market, buy_rating, beta) in csv_records(reader, PROFILE_COLUMNS, path):
-            if security_id in profiles:
-                raise SchemaError(f"{path}: row {line}: duplicate profile for {security_id}")
-            buy_rating = parse_float(buy_rating, "buy_rating", path, line)
-            beta = parse_float(beta, "beta", path, line)
-            try:
-                profiles[security_id] = SecurityProfile(security_id, market, buy_rating, beta)
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {line}: {exc}") from None
+    reader = _csv_rows([path.read_bytes()])
+    header = next(reader, [])
+    _check_utf8(header, path, 1)
+    check_header(header, PROFILE_COLUMNS, path)
+    for line, row in csv_records(reader, PROFILE_COLUMNS, path):
+        _check_utf8(row, path, line)
+        security_id, market, buy_rating, beta = row
+        if security_id in profiles:
+            raise SchemaError(f"{path}: row {line}: duplicate profile for {security_id}")
+        buy_rating = parse_float(buy_rating, "buy_rating", path, line)
+        beta = parse_float(beta, "beta", path, line)
+        try:
+            profiles[security_id] = SecurityProfile(security_id, market, buy_rating, beta)
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {line}: {exc}") from None
     return profiles
 
 
@@ -429,98 +547,125 @@ def ingest_csv(data_dir: Path | str) -> LendingDataset:
             raise SchemaError(f"missing input file: {p}")
 
     # One pass over the file into flat buffers: a code per distinct date
-    # and id string, and the seven values of each row. The buffers are
-    # sized once, for at most one row per line break: growing them chunk
-    # by chunk leaves the heap fragmented and raises peak memory.
+    # and id string, and the seven values of each row, variable-major as
+    # in the panel. The buffers are sized once, for at most one row per
+    # line break: growing them chunk by chunk leaves the heap fragmented
+    # and raises peak memory.
     with open(obs_path, "rb") as raw:
         blocks = iter(functools.partial(raw.read, 1 << 20), b"")
-        capacity = 1 + sum(block.count(b"\n") + block.count(b"\r") for block in blocks)
+        # Every byte up to CR counts, LF among them: numpy counts these
+        # faster than bytes.count counts the two line breaks.
+        capacity = 1 + sum(np.count_nonzero(np.frombuffer(block, np.uint8) <= _CARRIAGE_RETURN) for block in blocks)
     date_codes: dict[str, int] = {}
     id_codes: dict[str, int] = {}
     row_dates = np.empty(capacity, dtype=np.intp)
     row_ids = np.empty(capacity, dtype=np.intp)
-    cells = np.empty((capacity, len(VARIABLES)))
+    cells = np.empty((len(VARIABLES), capacity))
     n_rows = 0
 
-    def append(rows: tuple[Sequence[str], Sequence[str], array]) -> int:
+    def append(dates: list[str], date_rows: np.ndarray, ids: list[str], id_rows: np.ndarray,
+               values: np.ndarray) -> int:
         nonlocal n_rows
-        dates, ids, values = rows
-        for date in dict.fromkeys(dates):
-            date_codes.setdefault(date, len(date_codes))
-        for security_id in dict.fromkeys(ids):
-            id_codes.setdefault(security_id, len(id_codes))
-        end = n_rows + len(dates)
-        row_dates[n_rows:end] = np.fromiter(map(date_codes.__getitem__, dates), np.intp, len(dates))
-        row_ids[n_rows:end] = np.fromiter(map(id_codes.__getitem__, ids), np.intp, len(ids))
-        cells[n_rows:end] = np.frombuffer(values).reshape(-1, len(VARIABLES))
+        end = n_rows + len(values)
+        date_code = np.array([date_codes.setdefault(d, len(date_codes)) for d in dates], dtype=np.intp)
+        id_code = np.array([id_codes.setdefault(s, len(id_codes)) for s in ids], dtype=np.intp)
+        row_dates[n_rows:end] = date_code[date_rows]
+        row_ids[n_rows:end] = id_code[id_rows]
+        cells[:, n_rows:end] = values.T
         n_rows = end
-        return len(dates)
+        return len(values)
 
-    with open(obs_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        check_header(next(reader, []), OBSERVATION_COLUMNS, obs_path)
+    with open(obs_path, "rb") as fh:
+        first = fh.readline()
+        chunks = iter(lambda: fh.read(_INGEST_CHUNK_CHARS) + fh.readline(), b"")
+        head = _text_lines(first)
         line = 2
-        for lines in iter(functools.partial(fh.readlines, _INGEST_CHUNK_CHARS), []):
-            text = "".join(lines)
-            if '"' in text or "\0" in text:
-                # A quoted field may span lines, and the csv module of
-                # Python 3.10 rejects NUL: it reads the rest of the file.
-                reader = csv.reader(itertools.chain(lines, fh))
-                records = csv_records(reader, OBSERVATION_COLUMNS, obs_path, line)
-                for batch in iter(lambda: list(itertools.islice(records, _INGEST_CHUNK_ROWS)), []):
-                    append(_parse_records(batch, obs_path))
-                break
-            parsed = _parse_lines(lines)
-            if parsed is None:
-                records = csv_records(csv.reader(lines), OBSERVATION_COLUMNS, obs_path, line)
-                parsed = _parse_records(records, obs_path)
-            line += append(parsed)
-    row_dates, row_ids, cells = row_dates[:n_rows], row_ids[:n_rows], cells[:n_rows]
+        if len(head) == 1 and '"' not in head[0]:
+            reader = None
+            header = next(csv.reader(head), [])
+        else:
+            # A header line split by a bare CR, or holding a quote: the csv
+            # module reads the whole file.
+            reader = _csv_rows(itertools.chain([first], chunks))
+            header = next(reader, [])
+        _check_utf8(header, obs_path, 1)
+        check_header(header, OBSERVATION_COLUMNS, obs_path)
+        if reader is None:
+            for chunk in chunks:
+                if b'"' in chunk or b"\0" in chunk:
+                    # A quoted field may span lines, and the csv module of
+                    # Python 3.10 rejects NUL: it reads the rest of the file.
+                    reader = _csv_rows(itertools.chain([chunk], chunks))
+                    break
+                parsed = _parse_chunk(chunk)
+                if parsed is None:
+                    records = csv_records(_csv_rows([chunk]), OBSERVATION_COLUMNS, obs_path, line)
+                    parsed = _parse_records(records, obs_path)
+                line += append(*parsed)
+        if reader is not None:
+            records = csv_records(reader, OBSERVATION_COLUMNS, obs_path, line)
+            batch_rows = max(1, _INGEST_CHUNK_CHARS >> 7)  # about a chunk of observation lines
+            while append(*_parse_records(itertools.islice(records, batch_rows), obs_path)):
+                pass
+    row_dates, row_ids = row_dates[:n_rows], row_ids[:n_rows]
 
     ordinals = []
     for code, raw in enumerate(date_codes):
         try:
-            ordinals.append(dt.date.fromisoformat(raw).toordinal())
+            ordinals.append(_parse_date(raw).toordinal())
         except ValueError as exc:
             line = int(np.argmax(row_dates == code)) + 2
             raise ValueError(f"{obs_path}: row {line}: bad date {raw!r}") from exc
 
     # Group the rows by security in id order, keeping file order within
-    # each security, then require one strictly increasing calendar.
+    # each security, then require one strictly increasing calendar. Rows
+    # already in that order, as export writes them, are not moved.
     security_ids = tuple(sorted(id_codes))
     position = {security_id: k for k, security_id in enumerate(security_ids)}
     security_of_code = np.array([position[s] for s in id_codes], dtype=np.intp)
     security_of_row = security_of_code[row_ids]
-    rows = np.argsort(security_of_row, kind="stable")
-    day_of_row = np.asarray(ordinals, dtype=np.int64)[row_dates][rows]
+    rows = None if (np.diff(security_of_row) >= 0).all() else np.argsort(security_of_row, kind="stable")
+    day_of_row = np.asarray(ordinals, dtype=np.int64)[row_dates]
+    if rows is not None:
+        day_of_row = day_of_row[rows]
     bounds = np.cumsum(np.bincount(security_of_row, minlength=len(security_ids)))
     calendar = day_of_row[: bounds[0]] if security_ids else day_of_row
-    for security_id, days in zip(security_ids, np.split(day_of_row, bounds[:-1])):
-        regress = np.flatnonzero(np.diff(days) <= 0)
-        if regress.size:
-            k = regress[0]
-            raise OrderError(
-                f"{obs_path}: dates must be strictly increasing for {security_id}: "
-                f"{dt.date.fromordinal(days[k + 1])} follows {dt.date.fromordinal(days[k])}"
-            )
-        if not np.array_equal(days, calendar):
-            own, ref = days.tolist(), calendar.tolist()
-            k = 0
-            while k < len(own) and k < len(ref) and own[k] == ref[k]:
-                k += 1
-            first = own[k] if k < len(own) else ref[k]
-            raise SchemaError(
-                f"{obs_path}: {security_id}: dates differ from those of {security_ids[0]} "
-                f"at {dt.date.fromordinal(first)}; every security must have the same dates"
-            )
-
     n_days = len(calendar)
-    # One gather straight into the panel's layout, with no row-major copy between.
-    values = np.take(cells.T, rows, axis=1).reshape(len(VARIABLES), len(security_ids), n_days)
+    # One check of the whole panel; the loop only finds the error to report.
+    if (
+        n_rows != len(security_ids) * n_days
+        or not (np.diff(calendar) > 0).all()
+        or not (day_of_row.reshape(len(security_ids), n_days) == calendar).all()
+    ):
+        for security_id, days in zip(security_ids, np.split(day_of_row, bounds[:-1])):
+            regress = np.flatnonzero(np.diff(days) <= 0)
+            if regress.size:
+                k = regress[0]
+                raise OrderError(
+                    f"{obs_path}: dates must be strictly increasing for {security_id}: "
+                    f"{dt.date.fromordinal(days[k + 1])} follows {dt.date.fromordinal(days[k])}"
+                )
+            if not np.array_equal(days, calendar):
+                own, ref = days.tolist(), calendar.tolist()
+                k = 0
+                while k < len(own) and k < len(ref) and own[k] == ref[k]:
+                    k += 1
+                first = own[k] if k < len(own) else ref[k]
+                raise SchemaError(
+                    f"{obs_path}: {security_id}: dates differ from those of {security_ids[0]} "
+                    f"at {dt.date.fromordinal(first)}; every security must have the same dates"
+                )
+
+    panel_shape = (len(VARIABLES), len(security_ids), n_days)
+    # In order, the panel is a view of the row buffer; otherwise one
+    # gather straight into the panel's layout.
+    cells = cells[:, :n_rows]
+    values = (cells if rows is None else np.take(cells, rows, axis=1)).reshape(panel_shape)
     invalid = _first_invalid(values)
     if invalid is not None:
         v, i, t, reason = invalid
-        line = rows[i * n_days + t] + 2
+        row = i * n_days + t
+        line = (row if rows is None else rows[row]) + 2
         raise ValueError(
             f"{obs_path}: row {line}: column {VARIABLES[v]!r} {reason}: {float(values[v, i, t])!r}"
         )

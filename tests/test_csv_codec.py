@@ -31,6 +31,7 @@ from shortbasket.datastore import (
     export_csv,
     ingest_csv,
 )
+from shortbasket.errors import SchemaError
 
 OBS_HEADER = ",".join(OBSERVATION_COLUMNS)
 PROF_HEADER = "security_id,market,buy_rating,beta"
@@ -152,7 +153,7 @@ def outcome(data_dir: Path):
 def oracle_outcome(data_dir: Path):
     """``outcome`` with the bulk parse off: every chunk is read cell by cell with ``float()``."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(datastore, "_parse_lines", lambda lines: None)
+        patch.setattr(datastore, "_parse_chunk", lambda chunk: None)
         return outcome(data_dir)
 
 
@@ -269,3 +270,115 @@ def test_random_cell_ingests_as_per_cell_float(column, cell):
         (data_dir / OBSERVATIONS_FILENAME).write_text(f"{OBS_HEADER}\n{good}\n{row}\n")
         (data_dir / PROFILES_FILENAME).write_text(f"{PROF_HEADER}\nAAA,JP,4.0,1.5\n")
         assert_same_outcome(outcome(data_dir), oracle_outcome(data_dir))
+
+
+# Cells the bulk parse must read as float() does: "-0" is the int 0 in
+# JSON, "7" an int, "1e-05" is repr() text orjson never writes, and "1_0"
+# is no JSON number at all.
+ODD_CELLS = ["-0", "7", "1e-05", "1_0"]
+
+
+@st.composite
+def desk_files(draw) -> tuple[bytes, bytes]:
+    """observations.csv and profiles.csv of a panel, rewritten the ways desk files differ from export."""
+    panel = draw(panels())
+    n_securities, n_days = len(panel.security_ids), len(panel.dates)
+    # Ids of different lengths, non-ASCII ones, and ones csv.writer quotes.
+    ids = sorted(draw(st.lists(st.text(alphabet='AZ09 ,"-éü日', max_size=6), min_size=n_securities,
+                               max_size=n_securities, unique=True)))
+    dataset = LendingDataset(
+        dates=panel.dates,
+        security_ids=tuple(ids),
+        values=np.array(panel.values),
+        profiles=tuple(SecurityProfile(s, p.market, p.buy_rating, p.beta) for s, p in zip(ids, panel.profiles)),
+    )
+    header, *rows = reference_observations(dataset).decode().split("\n")[:-1]
+    cells = [row.rsplit(",", len(VARIABLES)) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.integers(0, len(cells) - 1))
+        cells[row][1 + draw(st.integers(0, len(VARIABLES) - 1))] = draw(st.sampled_from(ODD_CELLS))
+    rows = [",".join(row) for row in cells]
+    if draw(st.booleans()):  # date-major, as desk files often are
+        rows = [rows[i * n_days + t] for t in range(n_days) for i in range(n_securities)]
+    # A bare CR ends a line too, as in a text file opened with newline="".
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join([header, *rows]) + (newline if draw(st.booleans()) else "")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["security_id", "market", "buy_rating", "beta"])
+    for p in dataset.profiles:
+        writer.writerow([p.security_id, p.market, repr(p.buy_rating), repr(p.beta)])
+    return text.encode("utf-8"), buf.getvalue().encode("utf-8")
+
+
+@SETTINGS
+@given(desk_files())
+def test_bulk_ingest_matches_per_cell_oracle_at_any_chunk_size(files):
+    observations, profiles = files
+    with tempfile.TemporaryDirectory() as tmp:
+        data_dir = Path(tmp)
+        (data_dir / OBSERVATIONS_FILENAME).write_bytes(observations)
+        (data_dir / PROFILES_FILENAME).write_bytes(profiles)
+        want = oracle_outcome(data_dir)
+        for chunk_chars in (1, 64, 1 << 20):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(datastore, "_INGEST_CHUNK_CHARS", chunk_chars)
+                assert_same_outcome(outcome(data_dir), want)
+
+
+def test_exported_file_takes_the_bulk_path(tmp_path, monkeypatch):
+    dataset = LendingDataset(
+        dates=(dt.date(2021, 1, 4), dt.date(2021, 1, 5)),
+        security_ids=("AAA", "BBBB"),
+        values=np.full((len(VARIABLES), 2, 2), 0.25),
+        profiles=(SecurityProfile("AAA", "JP", 3.0, 1.0), SecurityProfile("BBBB", "JP", 3.0, 1.0)),
+    )
+    export_csv(dataset, tmp_path)
+
+    def per_cell(*args):
+        raise AssertionError("a plain exported chunk was parsed cell by cell")
+
+    monkeypatch.setattr(datastore, "_parse_records", per_cell)
+    assert same_dataset(ingest_csv(tmp_path), dataset)
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 64, 1 << 20])
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_undecodable_byte_names_the_row_like_the_oracle(tmp_path, chunk_chars, quoted):
+    data_dir = write_desk(tmp_path, "500.0")
+    obs = data_dir / OBSERVATIONS_FILENAME
+    text = obs.read_bytes()
+    if quoted:
+        text = text.replace(b"04,AAA,", b'04,"AAA",')
+    obs.write_bytes(text.replace(b"08,BBB,", b"08,B\xffB,"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datastore, "_INGEST_CHUNK_CHARS", chunk_chars)
+        got = outcome(data_dir)
+    assert got == oracle_outcome(data_dir)
+    assert got == (ValueError, f"{obs}: row 12: not UTF-8")
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 1 << 20])
+def test_first_bad_date_is_named_not_the_least(tmp_path, chunk_chars):
+    # "2021-00-04" sorts before "2021-13-04" but comes later in the file.
+    data_dir = write_desk(tmp_path, "500.0")
+    obs = data_dir / OBSERVATIONS_FILENAME
+    obs.write_bytes(obs.read_bytes().replace(b"2021-01-05,AAA", b"2021-13-04,AAA")
+                    .replace(b"2021-01-06,AAA", b"2021-00-04,AAA"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datastore, "_INGEST_CHUNK_CHARS", chunk_chars)
+        got = outcome(data_dir)
+    assert got == oracle_outcome(data_dir)
+    assert got == (ValueError, f"{obs}: row 3: bad date '2021-13-04'")
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 1 << 20])
+def test_bare_cr_inside_a_line_ends_it_like_the_oracle(tmp_path, chunk_chars):
+    data_dir = write_desk(tmp_path, "500.0")
+    obs = data_dir / OBSERVATIONS_FILENAME
+    obs.write_bytes(obs.read_bytes().replace(b"05,AAA,", b"05,AA\rA,"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datastore, "_INGEST_CHUNK_CHARS", chunk_chars)
+        got = outcome(data_dir)
+    assert got == oracle_outcome(data_dir)
+    assert got == (SchemaError, f"{obs}: row 3: wrong number of fields")

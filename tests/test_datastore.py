@@ -333,3 +333,65 @@ def test_import_does_not_load_orjson():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                             env={**os.environ, "PYTHONPATH": src})
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("spelling", ["20210104", "2021-W01-1", "2021W011", "2021-01-4", "2021-004"])
+def test_only_yyyy_mm_dd_dates_are_accepted(tmp_path, spelling):
+    # date.fromisoformat of Python 3.11 also reads the basic and week
+    # spellings; ingest must not depend on the Python version
+    write_dataset_dir(
+        tmp_path,
+        [f"{spelling},AAA,100.0,1000.0,2000.0,500.0,1e6,0.05,0.06"],
+        ["AAA,JP,4.0,1.5"],
+    )
+    with pytest.raises(ValueError, match=rf"observations\.csv: row 2: bad date '{spelling}'$"):
+        ingest_csv(tmp_path)
+
+
+def test_one_day_spelled_two_ways_is_rejected(tmp_path):
+    row = "{},{},100.0,1000.0,2000.0,500.0,1e6,0.05,0.06"
+    write_dataset_dir(
+        tmp_path,
+        [row.format("2021-01-04", "AAA"), row.format("20210104", "BBB")],
+        ["AAA,JP,4.0,1.5", "BBB,JP,4.0,1.5"],
+    )
+    with pytest.raises(ValueError, match=r"observations\.csv: row 3: bad date '20210104'$"):
+        ingest_csv(tmp_path)
+
+
+def test_undecodable_observation_names_file_and_row(tmp_path):
+    row = "2021-01-0{},{},100.0,1000.0,2000.0,500.0,1e6,0.05,0.06"
+    write_dataset_dir(tmp_path, [row.format(4, "AAA"), row.format(5, "AAA")], ["AAA,JP,4.0,1.5"])
+    obs = tmp_path / OBSERVATIONS_FILENAME
+    obs.write_bytes(obs.read_bytes().replace(b"05,AAA", b"05,A\xffA"))
+    with pytest.raises(ValueError, match=r"observations\.csv: row 3: not UTF-8$"):
+        ingest_csv(tmp_path)
+
+
+@pytest.mark.parametrize("row", [2, 3])
+def test_undecodable_profile_names_file_and_row(tmp_path, row):
+    write_dataset_dir(
+        tmp_path,
+        ["2021-01-04,AAA,100.0,1000.0,2000.0,500.0,1e6,0.05,0.06"],
+        ["AAA,JP,4.0,1.5", "BBB,JP,4.0,1.5"],
+    )
+    prof = tmp_path / PROFILES_FILENAME
+    lines = prof.read_bytes().split(b"\n")
+    lines[row - 1] = lines[row - 1].replace(b"JP", b"J\xff")
+    prof.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError, match=rf"profiles\.csv: row {row}: not UTF-8$"):
+        load_profiles(prof)
+
+
+@pytest.mark.parametrize("first_id", ["AAA", '"AAA"'], ids=["plain", "quoted"])
+def test_undecodable_row_is_named_before_a_later_short_row(tmp_path, first_id):
+    row = "2021-01-0{},{},100.0,1000.0,2000.0,500.0,1e6,0.05,0.06"
+    write_dataset_dir(
+        tmp_path,
+        [row.format(4, first_id), row.format(5, "AAA"), "2021-01-06,AAA,100.0"],
+        ["AAA,JP,4.0,1.5"],
+    )
+    obs = tmp_path / OBSERVATIONS_FILENAME
+    obs.write_bytes(obs.read_bytes().replace(b"05,AAA", b"05,A\xffA"))
+    with pytest.raises(ValueError, match=r"observations\.csv: row 3: not UTF-8$"):
+        ingest_csv(tmp_path)
