@@ -17,23 +17,10 @@ from .datastore import (
     ingest_csv,
 )
 from .pathdiag import PathStats, ScenarioResult, make_scenario, path_stats
-from .portfolio import PortfolioAllocation, construct, rebalance, variance_penalized_weights
+from .portfolio import PortfolioAllocation, construct
 from .rng import NoiseStream
-from .scoring import (
-    DerivedFactors,
-    ScoreConfig,
-    ScoreRow,
-    ScoreTable,
-    moving_average,
-    rate_stats,
-    score_four,
-    score_one,
-    score_table,
-    score_three,
-    score_two,
-    sharpe_like,
-)
-from .screener import FilterConfig, RankedSecurity, Ranking, apply_filters, rank, rank_stability
+from .scoring import ScoreConfig, ScoreRow, ScoreTable, moving_average, rate_stats, score_table
+from .screener import FilterConfig, RankedSecurity, Ranking, apply_filters, rank
 from .simulate import (
     FoldedNormalParams,
     GbmParams,
@@ -47,7 +34,6 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DerivedFactors",
     "FilterConfig",
     "FoldedNormalParams",
     "GbmParams",
@@ -75,17 +61,9 @@ __all__ = [
     "moving_average",
     "path_stats",
     "rank",
-    "rank_stability",
     "rate_stats",
-    "rebalance",
-    "score_four",
-    "score_one",
     "score_table",
-    "score_three",
-    "score_two",
-    "sharpe_like",
     "simulate_abs_normal",
     "simulate_gbm",
     "simulate_universe",
-    "variance_penalized_weights",
 ]

@@ -6,7 +6,7 @@ testable and desk-sourced data can replace the simulator at any point:
     shortbasket simulate --out data/
     shortbasket score --data data/ --flavor ma --out runs/
     shortbasket rank --scores runs/scores_ma.csv --profiles data/profiles.csv --out runs/
-    shortbasket portfolio --ranking runs/ranking.csv --top 20 --cap 0.1 --out runs/
+    shortbasket portfolio --ranking runs/ranking.csv --cap 0.25 --out runs/
     shortbasket diagnose-vol --kind 1 --target-return 0.09 --out runs/
     shortbasket ingest-check --data data/
 
@@ -41,7 +41,7 @@ from .pathdiag import make_scenario
 from .simulate import simulate_universe
 
 CONFIG_ECHO_FILENAME = "config_resolved.json"
-RANKING_COLUMNS = ("rank", "security_id", "score", "filter_trace")
+RANKING_COLUMNS = ("rank", "security_id", "score")
 
 _FLAVOR_BY_FLAG = {"ma": "ma", "first-day": "first_day", "last-day": "last_day"}
 _FLAG_BY_FLAVOR = {v: k for k, v in _FLAVOR_BY_FLAG.items()}
@@ -145,11 +145,10 @@ def cmd_rank(args: argparse.Namespace) -> int:
     dropped = [sid for sid in kept.security_ids if sid not in surviving]
 
     out_dir = Path(args.out)
-    trace = "|".join(screener.FILTER_ORDER)
     _write_rows(
         out_dir / "ranking.csv",
         RANKING_COLUMNS,
-        [[str(r.rank), r.security_id, repr(r.score), trace] for r in ranked],
+        [[str(r.rank), r.security_id, repr(r.score)] for r in ranked],
     )
     exclusion_rows = [[e.security_id, e.reason] for e in excluded]
     exclusion_rows += [[sid, "drop_bottom_pct"] for sid in dropped]
@@ -168,7 +167,7 @@ def _read_ranking(path: Path) -> screener.Ranking:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         check_header(next(reader, []), RANKING_COLUMNS, path)
-        for line, (_, security_id, score, _) in csv_records(reader, RANKING_COLUMNS, path):
+        for line, (_, security_id, score) in csv_records(reader, RANKING_COLUMNS, path):
             ids.append(security_id)
             scores.append(parse_float(score, "score", path, line))
     return screener.Ranking(
@@ -179,15 +178,18 @@ def _read_ranking(path: Path) -> screener.Ranking:
 
 
 def cmd_portfolio(args: argparse.Namespace) -> int:
+    cfg = load_run_config(args.config)
+    top_m = cfg.top_m if args.top is None else args.top
+    cap = cfg.cap if args.cap is None else args.cap
     ranked = _read_ranking(Path(args.ranking))
-    allocation = portfolio_mod.construct(ranked, args.top, args.cap)
+    allocation = portfolio_mod.construct(ranked, top_m, cap)
     out_dir = Path(args.out)
     _write_rows(
         out_dir / "allocation.csv",
         ("security_id", "weight"),
         [[sid, repr(weight)] for sid, weight in allocation.holdings],
     )
-    print(f"wrote {out_dir / 'allocation.csv'} ({allocation.size} holdings, cap {args.cap})")
+    print(f"wrote {out_dir / 'allocation.csv'} ({allocation.size} holdings, cap {cap})")
     return 0
 
 
@@ -265,9 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.set_defaults(func=cmd_rank)
 
     p_port = sub.add_parser("portfolio", help="build a capped allocation from a ranking")
+    p_port.add_argument("--config", type=Path, default=None)
     p_port.add_argument("--ranking", type=Path, required=True, help="ranking CSV")
-    p_port.add_argument("--top", type=int, required=True, help="number of securities")
-    p_port.add_argument("--cap", type=float, default=0.10, help="max weight per security")
+    p_port.add_argument(
+        "--top", type=int, default=None, help="number of securities (default: the config's portfolio.top_m)"
+    )
+    p_port.add_argument(
+        "--cap", type=float, default=None, help="max weight per security (default: the config's portfolio.cap)"
+    )
     p_port.add_argument("--out", type=Path, required=True)
     p_port.set_defaults(func=cmd_portfolio)
 

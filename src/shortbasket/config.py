@@ -25,7 +25,7 @@ Config file schema (JSON, all sections optional)::
                     "min_adv_usd": 25000000.0, "min_buy_rating": 3.5,
                     "min_beta": 1.2, "drop_bottom_pct": 20.0,
                     "market_scale": {}},
-      "portfolio": {"top_m": 20, "cap": 0.1, "rebalance_threshold": 0.0}
+      "portfolio": {"top_m": 20, "cap": 0.1}
     }
 
 Each ``seed_ranges`` block gives [min, max] bounds for the uniform
@@ -42,10 +42,12 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
+from .datastore import parse_date
 from .errors import ConfigError
 from .scoring import ScoreConfig
 from .screener import FilterConfig
@@ -91,7 +93,6 @@ class RunConfig:
     filters: FilterConfig = field(default_factory=FilterConfig)
     top_m: int = 20
     cap: float = 0.10
-    rebalance_threshold: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_securities < 1 or self.n_days < 1:
@@ -144,7 +145,6 @@ class RunConfig:
             "portfolio": {
                 "top_m": self.top_m,
                 "cap": self.cap,
-                "rebalance_threshold": self.rebalance_threshold,
             },
         }
 
@@ -165,6 +165,14 @@ def _integer(raw: Any, key: str) -> int:
     if isinstance(raw, bool) or not integral:
         raise ConfigError(f"{key} must be an integer, got {raw!r}")
     return int(raw)
+
+
+def _finite_number(raw: Any, key: str) -> float:
+    """``raw`` as a float: a finite JSON number, not a bool or a numeric string."""
+    # The bound fails NaN and +-inf, and an integer too large for a float.
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool) and abs(raw) <= sys.float_info.max:
+        return float(raw)
+    raise ConfigError(f"{key} must be a finite number, got {raw!r}")
 
 
 def _seed_range_from_dict(name: str, raw: Mapping[str, Any]) -> SimulationSeedRange:
@@ -211,7 +219,7 @@ def run_config_from_dict(data: Mapping[str, Any]) -> RunConfig:
             kwargs[key] = _integer(data[key], key)
     if "start_date" in data:
         try:
-            kwargs["start_date"] = dt.date.fromisoformat(str(data["start_date"]))
+            kwargs["start_date"] = parse_date(str(data["start_date"]))
         except ValueError as exc:
             raise ConfigError(f"start_date: {exc}") from None
     if "markets" in data:
@@ -256,13 +264,11 @@ def run_config_from_dict(data: Mapping[str, Any]) -> RunConfig:
         raise ConfigError(f"filters: {exc}") from None
 
     portfolio_raw = dict(data.get("portfolio") or {})
-    _check_keys(portfolio_raw, {"top_m", "cap", "rebalance_threshold"}, "portfolio")
+    _check_keys(portfolio_raw, {"top_m", "cap"}, "portfolio")
     if "top_m" in portfolio_raw:
         kwargs["top_m"] = _integer(portfolio_raw["top_m"], "portfolio.top_m")
     if "cap" in portfolio_raw:
-        kwargs["cap"] = float(portfolio_raw["cap"])
-    if "rebalance_threshold" in portfolio_raw:
-        kwargs["rebalance_threshold"] = float(portfolio_raw["rebalance_threshold"])
+        kwargs["cap"] = _finite_number(portfolio_raw["cap"], "portfolio.cap")
 
     return RunConfig(**kwargs)
 

@@ -503,7 +503,7 @@ def _parse_records(records: Iterable[tuple[int, list[str]]], path: Path) -> tupl
     )
 
 
-def _parse_date(raw: str) -> dt.date:
+def parse_date(raw: str) -> dt.date:
     """The date ``raw`` spells as YYYY-MM-DD; ValueError for any other spelling."""
     if not _ISO_DATE.fullmatch(raw):
         raise ValueError(f"not YYYY-MM-DD: {raw!r}")
@@ -612,7 +612,7 @@ def ingest_csv(data_dir: Path | str) -> LendingDataset:
     ordinals = []
     for code, raw in enumerate(date_codes):
         try:
-            ordinals.append(_parse_date(raw).toordinal())
+            ordinals.append(parse_date(raw).toordinal())
         except ValueError as exc:
             line = int(np.argmax(row_dates == code)) + 2
             raise ValueError(f"{obs_path}: row {line}: bad date {raw!r}") from exc

@@ -41,10 +41,6 @@ class EmptyAfterFilters(ShortBasketError):
     """Ranking was requested on an empty post-filter universe."""
 
 
-class InsufficientSnapshots(ShortBasketError):
-    """Rank-stability needs at least two ranking snapshots."""
-
-
 class InfeasibleCap(ShortBasketError):
     """Position cap times basket size is below 1; weights cannot sum to 1."""
 

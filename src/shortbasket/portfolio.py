@@ -12,10 +12,6 @@ u_i = min(cap, lambda * SS_i) with the weights summing to one.
 
 The selection is read straight from a :class:`~shortbasket.screener.Ranking`:
 its first M ids and their scores, with no per-security object between.
-
-Rebalancing is gated: if the basket membership is unchanged and no
-holding's score moved by more than the relative threshold, the current
-allocation is returned untouched.
 """
 
 from __future__ import annotations
@@ -23,9 +19,9 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .errors import InfeasibleCap, InsufficientHistory, NonFiniteScore, NonPositiveScore
+from .errors import InfeasibleCap, NonFiniteScore, NonPositiveScore
 from .screener import Ranking
 
 SUM_TOL = 1e-9
@@ -114,75 +110,6 @@ def construct(
     return PortfolioAllocation(
         as_of=as_of,
         holdings=tuple(zip(ranked.security_ids[:top_m], weights)),
-        scores=tuple(scores),
-        cap=cap,
-    )
-
-
-def rebalance(
-    current: PortfolioAllocation,
-    new_ranked: Ranking,
-    threshold: float,
-    as_of: dt.date | None = None,
-) -> tuple[PortfolioAllocation, bool]:
-    """Rebuild the basket only when scores or membership moved enough.
-
-    Unchanged means: the new top-M ids equal the current holdings and
-    every holding's relative score change is below ``threshold`` (exact
-    zero change never triggers a rebuild, whatever the threshold).
-    """
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    new_scores = dict(zip(new_ranked.security_ids[: current.size], new_ranked.scores))
-    if set(new_scores) == {sid for sid, _ in current.holdings}:
-        changes = [
-            abs(new_scores[sid] - old) / abs(old)
-            for (sid, _), old in zip(current.holdings, current.scores)
-        ]
-        max_change = max(changes)
-        if max_change == 0.0 or max_change < threshold:
-            return current, False
-    return construct(new_ranked, current.size, current.cap, as_of=as_of), True
-
-
-def variance_penalized_weights(
-    ranked: Ranking,
-    score_history: Mapping[str, Sequence[float]],
-    top_m: int,
-    cap: float,
-    as_of: dt.date | None = None,
-) -> PortfolioAllocation:
-    """Cap-redistributed weights proportional to score over score variance.
-
-    A noisier score history shrinks a security's weight. A zero-variance
-    history gets the largest raw weight among the candidates, i.e. a
-    perfectly stable score is never penalized.
-    """
-    if top_m < 1:
-        raise ValueError(f"top_m must be >= 1, got {top_m}")
-    selected = ranked.security_ids[:top_m]
-    scores = list(ranked.scores[:top_m])
-    _validate_selection(scores, cap)
-
-    variances = []
-    for security_id in selected:
-        history = score_history.get(security_id, ())
-        if len(history) < 2:
-            raise InsufficientHistory(
-                f"{security_id}: need >= 2 historical score snapshots, have {len(history)}"
-            )
-        mean = math.fsum(history) / len(history)
-        variances.append(math.fsum((h - mean) ** 2 for h in history) / (len(history) - 1))
-
-    raw = [s / v if v > 0 else math.nan for s, v in zip(scores, variances)]
-    finite = [r for r in raw if not math.isnan(r)]
-    stable_weight = max(finite) if finite else 1.0
-    raw = [stable_weight if math.isnan(r) else r for r in raw]
-
-    weights = _cap_and_redistribute(raw, cap)
-    return PortfolioAllocation(
-        as_of=as_of,
-        holdings=tuple(zip(selected, weights)),
         scores=tuple(scores),
         cap=cap,
     )

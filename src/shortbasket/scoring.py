@@ -76,6 +76,7 @@ from .datastore import (
     atomic_write_text,
     csv_fields,
     float_rows_text,
+    parse_date,
 )
 from .errors import EmptySeries, InsufficientHistory, SchemaError
 
@@ -112,28 +113,6 @@ class ScoreConfig:
                 raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
         if self.rate_source not in ("loan_rate", "alt_loan_rate"):
             raise ValueError(f"rate_source must be loan_rate or alt_loan_rate, got {self.rate_source!r}")
-
-
-@dataclass(frozen=True)
-class DerivedFactors:
-    """One security's inputs to the scalar score functions.
-
-    ``ma_si``/``ma_la`` hold the flavor's level view (moving average for
-    the ``ma`` flavor, single-day value otherwise). ``adv`` is the
-    20-day average volume in shares. ``dtc`` and ``lbg`` are NaN when
-    their denominators are zero. :func:`score_table` computes the same
-    quantities as columns of a :class:`ScoreTable`.
-    """
-
-    e_lr: float
-    sigma_lr: float
-    dtc: float
-    lbg: float
-    ma_si: float
-    ma_la: float
-    si_usd: float
-    la_usd: float
-    adv: float
 
 
 class ScoreRow(NamedTuple):
@@ -405,55 +384,6 @@ def rate_stats(
     return e_lr, sigma_lr
 
 
-def sharpe_like(e_x: float, threshold: float, sigma_x: float) -> float:
-    """Excess value per unit of deviation, with signed-infinity sentinels.
-
-    When the deviation is zero the result is +inf, -inf, or 0 matching
-    the sign of the excess, so a riskless rate premium still ranks, in
-    the right direction, instead of raising.
-    """
-    premium = e_x - threshold
-    if sigma_x == 0:
-        if premium > 0:
-            return math.inf
-        if premium < 0:
-            return -math.inf
-        return 0.0
-    return premium / sigma_x
-
-
-def score_one(factors: DerivedFactors, cfg: ScoreConfig) -> float:
-    """Rate premium over the threshold per unit of rate deviation."""
-    return sharpe_like(factors.e_lr, cfg.rf, factors.sigma_lr)
-
-
-def score_two(factors: DerivedFactors, cfg: ScoreConfig) -> float | None:
-    """Score one scaled by short interest relative to availability.
-
-    Returns None when availability is zero (division undefined); the
-    table builder turns that into an excluded row.
-    """
-    if factors.ma_la == 0:
-        return None
-    return (factors.ma_si / factors.ma_la) * score_one(factors, cfg)
-
-
-def score_three(factors: DerivedFactors, cfg: ScoreConfig) -> float | None:
-    """Score two scaled by days-to-cover; None when volume is zero."""
-    base = score_two(factors, cfg)
-    if base is None or factors.adv == 0 or math.isnan(factors.dtc):
-        return None
-    return factors.dtc * base
-
-
-def score_four(factors: DerivedFactors, cfg: ScoreConfig) -> float | None:
-    """Score three scaled by loan-balance growth; None on a zero base balance."""
-    base = score_three(factors, cfg)
-    if base is None or math.isnan(factors.lbg):
-        return None
-    return factors.lbg * base
-
-
 def _check_flavor(flavor: str) -> None:
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
@@ -645,7 +575,7 @@ def read_score_csv(path: Path | str, flavor: str = "ma") -> ScoreTable:
             line = 2 + next(k for k, d in enumerate(cells["date"]) if d != first)
             raise SchemaError(f"{path}: row {line}: a score table has one as-of date; {first} came first")
         try:
-            date = dt.date.fromisoformat(first)
+            date = parse_date(first)
         except ValueError as exc:
             raise ValueError(f"{path}: row 2: bad date {first!r}") from exc
 

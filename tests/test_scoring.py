@@ -21,17 +21,13 @@ from shortbasket.scoring import (
     moving_average,
     rate_stats,
     read_score_csv,
-    score_four,
-    score_one,
     score_table,
-    score_three,
-    score_two,
-    sharpe_like,
     write_score_csv,
 )
 from shortbasket.screener import FilterConfig, apply_filters, rank
 
 from conftest import dataset_from_series, make_factors, series_from_columns
+from oracles import score_four, score_one, score_three, score_two, sharpe_like
 
 CFG = ScoreConfig(rf=0.02)
 
@@ -377,6 +373,16 @@ class TestScoreCsv:
         lines[1] = ",".join(cells)
         path.write_text("\n".join([header] + lines) + "\n")
         with pytest.raises(error, match=message):
+            read_score_csv(path, "ma")
+
+    @pytest.mark.parametrize("spelling", ["20210104", "2021-W01-1"])
+    def test_as_of_date_takes_only_yyyy_mm_dd(self, tmp_path, tiny_dataset, spelling):
+        # date.fromisoformat on Python 3.11 reads both as a date
+        path = write_score_csv(score_table(tiny_dataset, CFG, "ma"), tmp_path / "scores_ma.csv")
+        header, *lines = path.read_text().splitlines()
+        lines = [spelling + line[line.index(","):] for line in lines]
+        path.write_text("\n".join([header] + lines) + "\n")
+        with pytest.raises(ValueError, match=f"row 2: bad date {spelling!r}"):
             read_score_csv(path, "ma")
 
     @pytest.mark.parametrize("spelling", ["-0", "5", "-0.0", "1e400", " 2.5", "1_0", ".5", "+1", "1E5", "NaN", "-inf"])

@@ -30,18 +30,15 @@ from shortbasket.scoring import (
     REASON_ZERO_AVAILABILITY,
     REASON_ZERO_LOAN_BALANCE,
     SCORE_CSV_COLUMNS,
-    DerivedFactors,
     ScoreConfig,
     ScoreTable,
     moving_average,
     rate_stats,
-    score_four,
-    score_one,
     score_table,
-    score_three,
-    score_two,
     write_score_csv,
 )
+
+from oracles import DerivedFactors, score_four, score_one, score_three, score_two
 
 from conftest import dataset_from_series, score_csv_oracle_bytes, series_from_columns
 

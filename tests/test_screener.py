@@ -1,4 +1,4 @@
-"""Exclusion filters, ranking, and rank-stability churn."""
+"""Exclusion filters and ranking."""
 
 from __future__ import annotations
 
@@ -6,24 +6,18 @@ import random
 
 import pytest
 
-from shortbasket.errors import EmptyAfterFilters, InsufficientSnapshots
+from shortbasket.errors import EmptyAfterFilters
 from shortbasket.screener import (
     FILTER_ORDER,
     FilterConfig,
     RankedSecurity,
-    Ranking,
     apply_filters,
     rank,
-    rank_stability,
 )
 
 from conftest import make_profile, make_row, make_table
 
 DEFAULTS = FilterConfig()
-
-
-def ranked_stub(*ids: str) -> Ranking:
-    return Ranking(ids, (1.0,) * len(ids), (1,) * len(ids))
 
 
 def ids_of(table) -> list[str]:
@@ -253,29 +247,3 @@ class TestRank:
         scores = {r["security_id"]: r["score_three"] for r in rows}
         expected = sorted(scores, key=lambda sid: (-scores[sid], sid))
         assert [r.security_id for r in ranked] == expected
-
-
-class TestRankStability:
-    def test_identical_snapshots_zero_churn(self):
-        snap = ranked_stub("A", "B")
-        churn = rank_stability([snap, snap, snap])
-        assert churn == {"A": 0.0, "B": 0.0}
-
-    def test_alternating_ranks(self):
-        s1 = ranked_stub("A", "B", "C")
-        s2 = ranked_stub("C", "B", "A")
-        churn = rank_stability([s1, s2, s1])
-        assert churn["A"] == 2.0
-        assert churn["B"] == 0.0
-        assert churn["C"] == 2.0
-
-    def test_absent_security_pays_max_penalty(self):
-        s1 = ranked_stub("A", "B", "C")
-        s2 = ranked_stub("A", "B")
-        churn = rank_stability([s1, s2])
-        assert churn["C"] == 3.0  # universe size K = 3
-        assert churn["A"] == 0.0
-
-    def test_requires_two_snapshots(self):
-        with pytest.raises(InsufficientSnapshots):
-            rank_stability([ranked_stub("A")])
