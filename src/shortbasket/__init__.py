@@ -17,7 +17,7 @@ from .datastore import (
     ingest_csv,
 )
 from .pathdiag import PathStats, ScenarioResult, make_scenario, path_stats
-from .portfolio import PortfolioAllocation, construct
+from .portfolio import PortfolioAllocation, PortfolioConfig, construct
 from .rng import NoiseStream
 from .scoring import ScoreConfig, ScoreRow, ScoreTable, moving_average, rate_stats, score_table
 from .screener import FilterConfig, RankedSecurity, Ranking, apply_filters, rank
@@ -41,6 +41,7 @@ __all__ = [
     "NoiseStream",
     "PathStats",
     "PortfolioAllocation",
+    "PortfolioConfig",
     "RankedSecurity",
     "Ranking",
     "RunConfig",

@@ -179,8 +179,8 @@ def _read_ranking(path: Path) -> screener.Ranking:
 
 def cmd_portfolio(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
-    top_m = cfg.top_m if args.top is None else args.top
-    cap = cfg.cap if args.cap is None else args.cap
+    top_m = cfg.portfolio.top_m if args.top is None else args.top
+    cap = cfg.portfolio.cap if args.cap is None else args.cap
     ranked = _read_ranking(Path(args.ranking))
     allocation = portfolio_mod.construct(ranked, top_m, cap)
     out_dir = Path(args.out)

@@ -4,51 +4,31 @@ A run is fully reproducible from one :class:`RunConfig`. Precedence is
 CLI flag > config file > built-in default, and the resolved config is
 echoed next to the outputs so any result can be audited and re-run.
 
-Config file schema (JSON, all sections optional)::
-
-    {
-      "master_seed": 42,
-      "n_securities": 100,
-      "n_days": 253,
-      "start_date": "2020-01-02",
-      "markets": ["JP", "HK", "TW", "KR", "SG"],
-      "buy_rating_range": [1.0, 5.0],
-      "beta_range": [0.5, 2.0],
-      "seed_ranges": {
-        "price": {"start": [10.0, 500.0], "drift": [-0.1, 0.15], "vol": [0.15, 0.35]},
-        "...": {}
-      },
-      "scoring":   {"rf": 0.02, "ma_window": 60, "vol_window": 60,
-                    "lbg_lag": 60, "rate_source": "loan_rate"},
-      "filters":   {"min_si_usd": 10000000.0, "min_loan_rate": 0.015,
-                    "min_dtc": 4.0, "min_lbg": 1.25, "max_la_usd": 10000000.0,
-                    "min_adv_usd": 25000000.0, "min_buy_rating": 3.5,
-                    "min_beta": 1.2, "drop_bottom_pct": 20.0,
-                    "market_scale": {}},
-      "portfolio": {"top_m": 20, "cap": 0.1}
-    }
-
-Each ``seed_ranges`` block gives [min, max] bounds for the uniform
-draws behind a variable's starting value, drift, and volatility. For
-``loan_balance`` the drift/vol slots are the mean and standard
-deviation (USD) of the daily absolute-normal draw and ``start`` may be
-omitted. The built-in ranges are synthetic defaults shaped so that
-price and rate volatilities sit well below the share-quantity
-volatilities, and quantity drifts span a wider range than price or
-rate drifts.
+The config dataclasses are the schema: each field is a key, a field
+whose type is a config dataclass is a JSON section, and each field's
+annotation picks the kind of value its key takes (``_KINDS``). One
+reader and one echo walk them, so a new field is read and echoed with
+no other edit. Range rules stay in each dataclass's ``__post_init__``.
+Every failure is a :class:`ConfigError` led by the dotted key. The
+README's "Configuration" section documents the schema; its example is
+loaded by ``tests/test_readme.py``.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import json
+import math
 import sys
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .datastore import parse_date
 from .errors import ConfigError
+from .portfolio import PortfolioConfig
 from .scoring import ScoreConfig
 from .screener import FilterConfig
 from .simulate import (
@@ -91,186 +71,181 @@ class RunConfig:
     )
     scoring: ScoreConfig = field(default_factory=ScoreConfig)
     filters: FilterConfig = field(default_factory=FilterConfig)
-    top_m: int = 20
-    cap: float = 0.10
+    portfolio: PortfolioConfig = field(default_factory=PortfolioConfig)
 
     def __post_init__(self) -> None:
-        if self.n_securities < 1 or self.n_days < 1:
-            raise ConfigError("n_securities and n_days must be >= 1")
-        if not 0 < self.cap <= 1:
-            raise ConfigError(f"cap must be in (0, 1], got {self.cap}")
-        if self.top_m < 1:
-            raise ConfigError(f"top_m must be >= 1, got {self.top_m}")
+        # The bound rng.NoiseStream enforces on a master seed.
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
+        if self.n_securities < 1:
+            raise ConfigError(f"n_securities must be >= 1, got {self.n_securities}")
+        if self.n_days < 1:
+            raise ConfigError(f"n_days must be >= 1, got {self.n_days}")
         missing = [v for v in VARIABLES if v not in self.seed_ranges]
         if missing:
             raise ConfigError(f"seed_ranges lacks variables: {missing}")
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable view, inverse of :func:`run_config_from_dict`."""
-        return {
-            "master_seed": self.master_seed,
-            "n_securities": self.n_securities,
-            "n_days": self.n_days,
-            "start_date": self.start_date.isoformat(),
-            "markets": list(self.markets),
-            "buy_rating_range": list(self.buy_rating_range),
-            "beta_range": list(self.beta_range),
-            "seed_ranges": {
-                name: {
-                    "start": [r.start_min, r.start_max],
-                    "drift": [r.drift_min, r.drift_max],
-                    "vol": [r.vol_min, r.vol_max],
-                }
-                for name, r in sorted(self.seed_ranges.items())
-            },
-            "scoring": {
-                "rf": self.scoring.rf,
-                "ma_window": self.scoring.ma_window,
-                "vol_window": self.scoring.vol_window,
-                "lbg_lag": self.scoring.lbg_lag,
-                "rate_source": self.scoring.rate_source,
-            },
-            "filters": {
-                "min_si_usd": self.filters.min_si_usd,
-                "min_loan_rate": self.filters.min_loan_rate,
-                "min_dtc": self.filters.min_dtc,
-                "min_lbg": self.filters.min_lbg,
-                "max_la_usd": self.filters.max_la_usd,
-                "min_adv_usd": self.filters.min_adv_usd,
-                "min_buy_rating": self.filters.min_buy_rating,
-                "min_beta": self.filters.min_beta,
-                "drop_bottom_pct": self.filters.drop_bottom_pct,
-                "market_scale": dict(sorted(self.filters.market_scale.items())),
-            },
-            "portfolio": {
-                "top_m": self.top_m,
-                "cap": self.cap,
-            },
-        }
+        return _echo(self)
 
 
-def _pair(raw: Any, context: str) -> tuple[float, float]:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise ConfigError(f"{context} must be a [min, max] pair, got {raw!r}")
-    try:
-        return float(raw[0]), float(raw[1])
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{context} must be a pair of numbers, got {raw!r}") from None
+def _is_number(raw: Any) -> bool:
+    """Whether ``raw`` reads as a float; a bool or an integer too large for a float does not."""
+    return isinstance(raw, float) or (
+        isinstance(raw, int) and not isinstance(raw, bool) and abs(raw) <= sys.float_info.max
+    )
 
 
+# The readers of _KINDS, one per kind of value: (raw JSON value, dotted key) -> field value.
 def _integer(raw: Any, key: str) -> int:
     """``raw`` as an int: an integer, or a float with an integral value such as 60.0."""
-    # bool is an int subclass, but a JSON true is not a count.
     integral = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
     if isinstance(raw, bool) or not integral:
         raise ConfigError(f"{key} must be an integer, got {raw!r}")
     return int(raw)
 
 
-def _finite_number(raw: Any, key: str) -> float:
+def _float(raw: Any, key: str) -> float:
     """``raw`` as a float: a finite JSON number, not a bool or a numeric string."""
-    # The bound fails NaN and +-inf, and an integer too large for a float.
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool) and abs(raw) <= sys.float_info.max:
-        return float(raw)
-    raise ConfigError(f"{key} must be a finite number, got {raw!r}")
+    if not (_is_number(raw) and math.isfinite(raw)):
+        raise ConfigError(f"{key} must be a finite number, got {raw!r}")
+    return float(raw)
 
 
-def _seed_range_from_dict(name: str, raw: Mapping[str, Any]) -> SimulationSeedRange:
-    unknown = set(raw) - {"start", "drift", "vol"}
-    if unknown:
-        raise ConfigError(f"seed_ranges[{name!r}]: unknown keys {sorted(unknown)}")
-    start = _pair(raw["start"], f"seed_ranges[{name!r}].start") if "start" in raw else (0.0, 0.0)
-    if "drift" not in raw or "vol" not in raw:
-        raise ConfigError(f"seed_ranges[{name!r}] needs drift and vol pairs")
-    drift = _pair(raw["drift"], f"seed_ranges[{name!r}].drift")
-    vol = _pair(raw["vol"], f"seed_ranges[{name!r}].vol")
+def _string(raw: Any, key: str) -> str:
+    if not isinstance(raw, str):
+        raise ConfigError(f"{key} must be a string, got {raw!r}")
+    return raw
+
+
+def _date(raw: Any, key: str) -> dt.date:
     try:
-        return SimulationSeedRange(name, start[0], start[1], drift[0], drift[1], vol[0], vol[1])
+        return parse_date(_string(raw, key))
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{key}: {exc}") from None
 
 
-def _check_keys(raw: Mapping[str, Any], allowed: set[str], context: str) -> None:
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+def _bounds(raw: Any, key: str) -> tuple[float, float]:
+    """A ``[min, max]`` pair of JSON numbers, as floats."""
+    if not (isinstance(raw, list) and len(raw) == 2 and all(map(_is_number, raw))):
+        raise ConfigError(f"{key} must be a [min, max] pair of numbers, got {raw!r}")
+    return float(raw[0]), float(raw[1])
+
+
+def _pair(raw: Any, key: str) -> tuple[float, float]:
+    """A ``[min, max]`` pair of finite numbers with ``min <= max``."""
+    low, high = _bounds(raw, key)
+    if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+        raise ConfigError(f"{key} must be finite with min <= max, got {raw!r}")
+    return low, high
+
+
+def _strings(raw: Any, key: str) -> list[str]:
+    if not (isinstance(raw, list) and all(isinstance(s, str) for s in raw)):
+        raise ConfigError(f"{key} must be a list of strings, got {raw!r}")
+    return raw
+
+
+def _names(raw: Any, key: str) -> tuple[str, ...]:
+    if not _strings(raw, key):
+        raise ConfigError(f"{key} must be a non-empty list of strings")
+    return tuple(raw)
+
+
+def _id_set(raw: Any, key: str) -> frozenset[str]:
+    return frozenset(_strings(raw, key))
+
+
+def _object(raw: Any, key: str) -> dict[str, Any]:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {raw!r}")
+    return raw
+
+
+def _float_map(raw: Any, key: str) -> dict[str, float]:
+    return {name: _float(value, f"{key}.{name}") for name, value in _object(raw, key).items()}
+
+
+_SEED_SLOTS = ("start", "drift", "vol")
+
+
+def _seed_ranges(raw: Any, key: str) -> dict[str, SimulationSeedRange]:
+    """Blocks of ``[min, max]`` bounds by variable over the defaults, checked by SimulationSeedRange."""
+    ranges = dict(DEFAULT_SEED_RANGES)
+    for name, block in _object(raw, key).items():
+        where = f"{key}[{name!r}]"
+        if name not in VARIABLES:
+            raise ConfigError(f"{where}: unknown variable; expected one of {list(VARIABLES)}")
+        slots = set(_object(block, where))
+        if not {"drift", "vol"} <= slots <= set(_SEED_SLOTS):
+            raise ConfigError(f"{where} takes drift and vol pairs and an optional start pair, got {sorted(slots)}")
+        start, drift, vol = (_bounds(block[s], f"{where}.{s}") if s in block else (0.0, 0.0) for s in _SEED_SLOTS)
+        ranges[name] = _build(SimulationSeedRange, f"{where}: ", name, *start, *drift, *vol)
+    return ranges
+
+
+def _seed_ranges_echo(ranges: Mapping[str, SimulationSeedRange]) -> dict[str, Any]:
+    return {
+        name: {s: [getattr(r, f"{s}_min"), getattr(r, f"{s}_max")] for s in _SEED_SLOTS}
+        for name, r in ranges.items()
+    }
+
+
+# Each field annotation of a config dataclass -> (reader, echo).
+_KINDS: dict[Any, tuple[Callable[[Any, str], Any], Callable[[Any], Any]]] = {
+    int: (_integer, int),
+    float: (_float, float),
+    str: (_string, str),
+    dt.date: (_date, dt.date.isoformat),
+    tuple[float, float]: (_pair, list),
+    tuple[str, ...]: (_names, list),
+    frozenset[str]: (_id_set, sorted),
+    Mapping[str, float]: (_float_map, dict),
+    Mapping[str, SimulationSeedRange]: (_seed_ranges, _seed_ranges_echo),
+}
+
+
+@functools.cache  # a few classes, read-only results
+def _schema(cls: type) -> dict[str, Any]:
+    """The fields of config dataclass ``cls`` with their resolved annotations, in field order."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _build(cls: type, prefix: str, *args: Any, **kwargs: Any) -> Any:
+    """``cls(*args, **kwargs)``; a range rule's ValueError becomes a ConfigError led by ``prefix``."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
+def _read(cls: type, raw: Any, prefix: str) -> Any:
+    """Config dataclass ``cls`` from the JSON object ``raw``; ``prefix`` is its dotted path plus "."."""
+    schema = _schema(cls)
+    kwargs = {}
+    for name, value in _object(raw, prefix.rstrip(".") or "config").items():
+        key = prefix + name
+        if name not in schema:
+            raise ConfigError(f"{key}: unknown key; expected one of {list(schema)}")
+        kind = schema[name]
+        kwargs[name] = _read(kind, value, key + ".") if is_dataclass(kind) else _KINDS[kind][0](value, key)
+    return _build(cls, prefix, **kwargs)
+
+
+def _echo(cfg: Any) -> dict[str, Any]:
+    """The JSON view of config dataclass ``cfg``, inverse of :func:`_read`."""
+    view = {}
+    for name, kind in _schema(type(cfg)).items():
+        value = getattr(cfg, name)
+        view[name] = _echo(value) if is_dataclass(kind) else _KINDS[kind][1](value)
+    return view
 
 
 def run_config_from_dict(data: Mapping[str, Any]) -> RunConfig:
-    """Build a RunConfig from a (possibly partial) plain dict."""
-    top_level = {
-        "master_seed",
-        "n_securities",
-        "n_days",
-        "start_date",
-        "markets",
-        "buy_rating_range",
-        "beta_range",
-        "seed_ranges",
-        "scoring",
-        "filters",
-        "portfolio",
-    }
-    _check_keys(data, top_level, "config")
-
-    kwargs: dict[str, Any] = {}
-    for key in ("master_seed", "n_securities", "n_days"):
-        if key in data:
-            kwargs[key] = _integer(data[key], key)
-    if "start_date" in data:
-        try:
-            kwargs["start_date"] = parse_date(str(data["start_date"]))
-        except ValueError as exc:
-            raise ConfigError(f"start_date: {exc}") from None
-    if "markets" in data:
-        markets = tuple(str(m) for m in data["markets"])
-        if not markets:
-            raise ConfigError("markets must be non-empty")
-        kwargs["markets"] = markets
-    for key in ("buy_rating_range", "beta_range"):
-        if key in data:
-            kwargs[key] = _pair(data[key], key)
-
-    ranges = dict(DEFAULT_SEED_RANGES)
-    for name, block in (data.get("seed_ranges") or {}).items():
-        if name not in VARIABLES:
-            raise ConfigError(f"seed_ranges: unknown variable {name!r}")
-        ranges[name] = _seed_range_from_dict(name, block)
-    kwargs["seed_ranges"] = ranges
-
-    scoring_raw = dict(data.get("scoring") or {})
-    _check_keys(scoring_raw, {f.name for f in fields(ScoreConfig)}, "scoring")
-    for key in ("ma_window", "vol_window", "lbg_lag"):
-        if key in scoring_raw:
-            scoring_raw[key] = _integer(scoring_raw[key], f"scoring.{key}")
-    try:
-        kwargs["scoring"] = ScoreConfig(**scoring_raw)
-    except ValueError as exc:
-        raise ConfigError(f"scoring: {exc}") from None
-
-    filters_raw = dict(data.get("filters") or {})
-    _check_keys(
-        filters_raw,
-        {f.name for f in fields(FilterConfig)},
-        "filters",
-    )
-    if "market_scale" in filters_raw:
-        filters_raw["market_scale"] = dict(filters_raw["market_scale"])
-    if "exclusions" in filters_raw:
-        filters_raw["exclusions"] = frozenset(filters_raw["exclusions"])
-    try:
-        kwargs["filters"] = FilterConfig(**filters_raw)
-    except ValueError as exc:
-        raise ConfigError(f"filters: {exc}") from None
-
-    portfolio_raw = dict(data.get("portfolio") or {})
-    _check_keys(portfolio_raw, {"top_m", "cap"}, "portfolio")
-    if "top_m" in portfolio_raw:
-        kwargs["top_m"] = _integer(portfolio_raw["top_m"], "portfolio.top_m")
-    if "cap" in portfolio_raw:
-        kwargs["cap"] = _finite_number(portfolio_raw["cap"], "portfolio.cap")
-
-    return RunConfig(**kwargs)
+    """Build a RunConfig from a (possibly partial) plain dict; absent keys keep their defaults."""
+    return _read(RunConfig, data, "")
 
 
 def load_run_config(path: Path | str | None) -> RunConfig:
@@ -284,8 +259,6 @@ def load_run_config(path: Path | str | None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
     return run_config_from_dict(data)
 
 

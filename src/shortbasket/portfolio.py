@@ -29,6 +29,20 @@ CAP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
+class PortfolioConfig:
+    """Basket size and per-position cap: the ``portfolio`` section of a run config."""
+
+    top_m: int = 20
+    cap: float = 0.10
+
+    def __post_init__(self) -> None:
+        if self.top_m < 1:
+            raise ValueError(f"top_m must be >= 1, got {self.top_m}")
+        if not 0 < self.cap <= 1:
+            raise ValueError(f"cap must be in (0, 1], got {self.cap}")
+
+
+@dataclass(frozen=True)
 class PortfolioAllocation:
     """Normalized long-only holdings; weights sum to 1, none above cap."""
 

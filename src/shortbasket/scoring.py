@@ -108,6 +108,8 @@ class ScoreConfig:
     rate_source: str = "loan_rate"
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.rf):
+            raise ValueError(f"rf must be finite, got {self.rf}")
         for name in ("ma_window", "vol_window", "lbg_lag"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
@@ -609,12 +611,16 @@ def read_score_csv(path: Path | str, flavor: str = "ma") -> ScoreTable:
             f"{path}: row {2 + int(unfactored.argmax())}: a scored row needs availability, "
             f"short_interest and rate_volatility"
         )
+    flags = cells["excluded"]
+    if not set(flags) <= {"true", "false"}:
+        line, raw = next((k, f) for k, f in enumerate(flags, start=2) if f not in ("true", "false"))
+        raise SchemaError(f"{path}: row {line}: column 'excluded' must be true or false, got {raw!r}")
     return ScoreTable(
         date=date,
         flavor=flavor,
         security_ids=cells["security_id"],
         values=values,
         missing=missing,
-        excluded=np.array([c == "true" for c in cells["excluded"]], dtype=bool),
+        excluded=np.array([f == "true" for f in flags], dtype=bool),
         reasons=np.array(cells["reason"], dtype=object).reshape(n),
     )

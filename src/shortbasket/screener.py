@@ -87,8 +87,8 @@ class FilterConfig:
         if not 0 <= self.drop_bottom_pct < 100:
             raise ValueError(f"drop_bottom_pct must be in [0, 100), got {self.drop_bottom_pct}")
         for market, scale in self.market_scale.items():
-            if scale <= 0:
-                raise ValueError(f"market_scale[{market!r}] must be positive, got {scale}")
+            if not scale > 0:  # negated, so that NaN fails it
+                raise ValueError(f"market_scale.{market} must be positive, got {scale}")
 
     @classmethod
     def permissive(cls) -> "FilterConfig":

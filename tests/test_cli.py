@@ -347,3 +347,37 @@ def test_no_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run([])
     assert exc.value.code == 2
+
+
+# Each of these used to end in a traceback, be echoed into config_resolved.json
+# and crash a later stage, or load as something else ("JP" as the markets J, P).
+BAD_CONFIGS = [
+    ('{"filters": {"min_lbg": null}}', "filters.min_lbg"),
+    ('{"filters": {"market_scale": [1]}}', "filters.market_scale"),
+    ('{"filters": {"exclusions": "SEC0001"}}', "filters.exclusions"),
+    ('{"scoring": {"rf": "abc"}}', "scoring.rf"),
+    ('{"scoring": {"rf": true}}', "scoring.rf"),
+    ('{"scoring": {"rf": NaN}}', "scoring.rf"),
+    ('{"scoring": []}', "scoring"),
+    ('{"markets": "JP"}', "markets"),
+    ('{"buy_rating_range": [5, 3]}', "buy_rating_range"),
+    ('{"master_seed": -1}', "master_seed"),
+    ('{"portfolio": {"cap": 2}}', "portfolio.cap"),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "score", "rank"])
+@pytest.mark.parametrize("text, key", BAD_CONFIGS, ids=[t for t, _ in BAD_CONFIGS])
+def test_bad_config_value_exits_one_naming_the_key(tmp_path, capsys, command, text, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    inputs = {
+        "simulate": [],
+        "score": ["--data", str(tmp_path / "data")],
+        "rank": ["--scores", str(tmp_path / "scores_ma.csv"), "--profiles", str(tmp_path / "profiles.csv")],
+    }[command]
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), *inputs, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ") and "Traceback" not in err
+    assert not out.exists()

@@ -15,6 +15,7 @@ from shortbasket.config import (
     run_config_from_dict,
 )
 from shortbasket.errors import ConfigError
+from shortbasket.portfolio import PortfolioConfig
 from shortbasket.simulate import VARIABLES
 
 
@@ -120,7 +121,7 @@ def test_portfolio_cap_takes_only_a_finite_number(value):
 
 
 def test_round_trip_through_dict():
-    cfg = RunConfig(master_seed=5, top_m=7, cap=0.25)
+    cfg = RunConfig(master_seed=5, portfolio=PortfolioConfig(top_m=7, cap=0.25))
     assert run_config_from_dict(cfg.to_dict()) == cfg
 
 
@@ -155,7 +156,7 @@ def test_integer_keys_reject_non_integers(key, build, value):
 def test_integer_keys_accept_integral_floats(key, build):
     cfg = run_config_from_dict(build(60.0))
     section, _, name = key.rpartition(".")
-    value = getattr(cfg.scoring if section == "scoring" else cfg, name)
+    value = getattr(getattr(cfg, section) if section else cfg, name)
     assert value == 60 and type(value) is int
 
 

@@ -15,7 +15,7 @@ from shortbasket.cli import main
 GOLDEN_SHA256 = {
     "data/observations.csv": "9488eb95b53d85d6084db1b9e9e126eb15e9781174ed43e765e46cc33fe5e766",
     "data/profiles.csv": "9ca788f7f8ceacd12ba11d9942a5ea0810bdf9007962636c9f5729fee19b9934",
-    "data/config_resolved.json": "9110bce14a05175e93c77bb4af1412c7562d109bcf2ad8b5d39bb8a5290437a4",
+    "data/config_resolved.json": "fb3ee0024c2e8b3dd06a7538f064eb464a8033d22462ebffee6047727e0d3560",
     "runs/scores_ma.csv": "b3b0f3ae1eef5b8045f653def5ab2b0e3d23e8b9b6dec2b40981432ecd9f1bde",
     "runs/scores_first_day.csv": "a2d7c58ee03924b58cfcce589411f29d386d2be7c44d595386f7cf1c6b5c6d28",
     "runs/scores_last_day.csv": "1744b5889185ea14d08b6127013555dedd77dc82615aa27bcbcfd6c4346b4897",

@@ -30,7 +30,7 @@ def code_block(section: str, language: str) -> str:
 
 def test_configuration_block_loads():
     cfg = run_config_from_dict(json.loads(code_block("Configuration", "json")))
-    assert (cfg.top_m, cfg.cap) == (20, 0.1)
+    assert (cfg.portfolio.top_m, cfg.portfolio.cap) == (20, 0.1)
 
 
 def test_library_use_block_runs():

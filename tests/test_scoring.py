@@ -375,6 +375,18 @@ class TestScoreCsv:
         with pytest.raises(error, match=message):
             read_score_csv(path, "ma")
 
+    @pytest.mark.parametrize("flag", ["maybe", "True", "1", ""], ids=repr)
+    def test_excluded_flag_takes_only_true_or_false(self, tmp_path, tiny_dataset, flag):
+        # each of these used to load as not excluded, putting the row into a ranking
+        path = write_score_csv(score_table(tiny_dataset, CFG, "ma"), tmp_path / "scores_ma.csv")
+        header, *lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[SCORE_CSV_COLUMNS.index("excluded")] = flag
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join([header] + lines) + "\n")
+        with pytest.raises(SchemaError, match=rf"scores_ma\.csv: row 3: column 'excluded' must be true or false, got {flag!r}"):
+            read_score_csv(path, "ma")
+
     @pytest.mark.parametrize("spelling", ["20210104", "2021-W01-1"])
     def test_as_of_date_takes_only_yyyy_mm_dd(self, tmp_path, tiny_dataset, spelling):
         # date.fromisoformat on Python 3.11 reads both as a date
