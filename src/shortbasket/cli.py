@@ -29,12 +29,12 @@ from . import scoring, screener
 from .config import RunConfig, load_run_config, resolved_config_json
 from .datastore import (
     atomic_write_text,
-    check_header,
-    csv_records,
     export_csv,
     ingest_csv,
     load_profiles,
-    parse_float,
+    parse_float_column,
+    read_csv_columns,
+    read_lines,
 )
 from .errors import ShortBasketError
 from .pathdiag import make_scenario
@@ -44,7 +44,6 @@ CONFIG_ECHO_FILENAME = "config_resolved.json"
 RANKING_COLUMNS = ("rank", "security_id", "score")
 
 _FLAVOR_BY_FLAG = {"ma": "ma", "first-day": "first_day", "last-day": "last_day"}
-_FLAG_BY_FLAVOR = {v: k for k, v in _FLAVOR_BY_FLAG.items()}
 
 
 def _write_rows(path: Path, header: tuple[str, ...], rows: list[list[str]]) -> None:
@@ -102,24 +101,11 @@ def cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-def _flavor_from_scores_path(path: Path) -> str:
-    stem = path.stem
-    for flavor in scoring.FLAVORS:
-        if stem.endswith(flavor):
-            return flavor
-    print(
-        f"note: the flavor of {path.name} is not in its name; assuming 'ma' "
-        f"(pass --flavor to choose)",
-        file=sys.stderr,
-    )
-    return "ma"
-
-
 def _load_exclusion_file(path: Path | None) -> frozenset[str]:
     if path is None:
         return frozenset()
     ids = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_lines(path):
         token = line.strip()
         if token and token != "security_id":
             ids.add(token)
@@ -134,9 +120,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
         filter_cfg = replace(filter_cfg, exclusions=filter_cfg.exclusions | exclusions)
     drop_pct = args.drop_bottom_pct if args.drop_bottom_pct is not None else filter_cfg.drop_bottom_pct
 
-    scores_path = Path(args.scores)
-    flavor = _FLAVOR_BY_FLAG[args.flavor] if args.flavor else _flavor_from_scores_path(scores_path)
-    table = scoring.read_score_csv(scores_path, flavor)
+    table = scoring.read_score_csv(args.scores)
     profiles = load_profiles(args.profiles)
 
     kept, excluded = screener.apply_filters(table, profiles, filter_cfg)
@@ -145,11 +129,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     dropped = [sid for sid in kept.security_ids if sid not in surviving]
 
     out_dir = Path(args.out)
-    _write_rows(
-        out_dir / "ranking.csv",
-        RANKING_COLUMNS,
-        [[str(r.rank), r.security_id, repr(r.score)] for r in ranked],
-    )
+    _write_ranking(out_dir / "ranking.csv", ranked)
     exclusion_rows = [[e.security_id, e.reason] for e in excluded]
     exclusion_rows += [[sid, "drop_bottom_pct"] for sid in dropped]
     exclusion_rows.sort()
@@ -161,20 +141,15 @@ def cmd_rank(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_ranking(path: Path, ranked: screener.Ranking) -> None:
+    _write_rows(path, RANKING_COLUMNS, [[str(r.rank), r.security_id, repr(r.score)] for r in ranked])
+
+
 def _read_ranking(path: Path) -> screener.Ranking:
     """The ids and scores of a ranking.csv, in file order; a malformed file is named with its row."""
-    ids, scores = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        check_header(next(reader, []), RANKING_COLUMNS, path)
-        for line, (_, security_id, score) in csv_records(reader, RANKING_COLUMNS, path):
-            ids.append(security_id)
-            scores.append(parse_float(score, "score", path, line))
-    return screener.Ranking(
-        security_ids=tuple(ids),
-        scores=tuple(scores),
-        premium_signs=tuple((s > 0) - (s < 0) for s in scores),
-    )
+    _, ids, scores = read_csv_columns(path, RANKING_COLUMNS)
+    scores = tuple(parse_float_column(scores, "score", path))
+    return screener.Ranking(ids, scores, premium_signs=tuple((s > 0) - (s < 0) for s in scores))
 
 
 def cmd_portfolio(args: argparse.Namespace) -> int:
@@ -260,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--scores", type=Path, required=True, help="score-table CSV")
     p_rank.add_argument("--profiles", type=Path, required=True, help="profiles CSV")
     p_rank.add_argument("--score", choices=("one", "two", "three", "four"), default="four")
-    p_rank.add_argument("--flavor", choices=sorted(_FLAVOR_BY_FLAG), default=None)
     p_rank.add_argument("--drop-bottom-pct", type=float, default=None)
     p_rank.add_argument("--exclude-file", type=Path, default=None, help="one security_id per line")
     p_rank.add_argument("--out", type=Path, required=True)

@@ -41,6 +41,14 @@ the rows in any other order of securities, date-major desk files
 included, provided each security's dates are strictly increasing and
 every security has the same dates. Non-finite values (``nan``, ``inf``)
 are rejected with their file, row and column.
+
+The small files, profiles.csv, the score table and ranking.csv, are
+read whole by one reader, ``read_csv_columns``, under the same rules:
+UTF-8, blank lines skipped, quoted fields and CRLF line ends read as
+``csv`` reads them, and a header or field count that does not match, or
+bytes that are not UTF-8, rejected with the file and row. It returns
+each column as a tuple of cells; ``parse_float_column`` parses a column
+of numbers in one orjson call, or cell by cell where that call fails.
 """
 
 from __future__ import annotations
@@ -510,23 +518,79 @@ def parse_date(raw: str) -> dt.date:
     return dt.date.fromisoformat(raw)
 
 
+def _read_text(path: Path) -> str:
+    """The file as text; bytes that are not UTF-8 become lone surrogates, for :func:`_check_utf8`."""
+    return path.read_bytes().decode("utf-8", "surrogateescape")
+
+
+def read_lines(path: Path | str) -> list[str]:
+    """The lines of a UTF-8 text file; a line holding other bytes is named with its file and row."""
+    path = Path(path)
+    lines = _read_text(path).splitlines()
+    for line, text in enumerate(lines, start=1):
+        _check_utf8((text,), path, line)
+    return lines
+
+
+def read_csv_columns(path: Path | str, columns: Sequence[str]) -> tuple[tuple[str, ...], ...]:
+    """The cells of a small CSV file with the header ``columns``: one tuple per column, in file order.
+
+    The text is split on line feeds and commas when it holds no quote, CR
+    or NUL, and by ``csv`` otherwise. Blank lines are skipped, and the
+    other rows are numbered from 2 as in the file without them. A header
+    other than ``columns``, and a row with bytes that are not UTF-8 or
+    the wrong number of fields, is rejected with the file and row.
+    """
+    path = Path(path)
+    text = _read_text(path)
+    if '"' in text or "\r" in text or "\0" in text:
+        records = list(csv.reader(io.StringIO(text, newline="")))
+    else:
+        records = [line.split(",") if line else [] for line in text.split("\n")]
+    header, *records = records or [[]]
+    _check_utf8(header, path, 1)
+    check_header(header, columns, path)
+    rows = [row for row in records if row]
+    if set(map(len, rows)) - {len(columns)} or not text.isascii() and _UNDECODABLE.search(text):
+        for line, row in enumerate(rows, start=2):
+            _check_utf8(row, path, line)
+            if len(row) != len(columns):
+                raise SchemaError(f"{path}: row {line}: wrong number of fields")
+    return tuple(zip(*rows)) if rows else ((),) * len(columns)
+
+
+def parse_float_column(cells: Sequence[str], column: str, path: Path) -> list[float]:
+    """The cells of a column from :func:`read_csv_columns` as floats, as ``float()`` reads each.
+
+    One orjson call parses the column when every cell is a JSON number
+    that reads as a float; a cell JSON reads as an int (``5``, ``-0``),
+    and any other spelling, is left to :func:`parse_float`, which names
+    the file, row and column of a cell that is not a number.
+    """
+    # Imported here, not with the module, as in float_rows_text.
+    import orjson
+
+    try:
+        parsed = orjson.loads("[" + ",".join(cells) + "]")
+    except orjson.JSONDecodeError:
+        parsed = None
+    if parsed is not None and len(parsed) == len(cells) and set(map(type, parsed)) <= {float}:
+        return parsed
+    return [parse_float(raw, column, path, line) for line, raw in enumerate(cells, start=2)]
+
+
 def load_profiles(path: Path | str) -> dict[str, SecurityProfile]:
     """Read and validate a profiles.csv into an id-keyed mapping, in file order."""
     path = Path(path)
+    ids, markets, buy_ratings, betas = read_csv_columns(path, PROFILE_COLUMNS)
+    buy_ratings = parse_float_column(buy_ratings, "buy_rating", path)
+    rows = zip(ids, markets, buy_ratings, parse_float_column(betas, "beta", path))
     profiles: dict[str, SecurityProfile] = {}
-    reader = _csv_rows([path.read_bytes()])
-    header = next(reader, [])
-    _check_utf8(header, path, 1)
-    check_header(header, PROFILE_COLUMNS, path)
-    for line, row in csv_records(reader, PROFILE_COLUMNS, path):
-        _check_utf8(row, path, line)
-        security_id, market, buy_rating, beta = row
-        if security_id in profiles:
-            raise SchemaError(f"{path}: row {line}: duplicate profile for {security_id}")
-        buy_rating = parse_float(buy_rating, "buy_rating", path, line)
-        beta = parse_float(beta, "beta", path, line)
+    for line, row in enumerate(rows, start=2):
+        if row[0] in profiles:
+            raise SchemaError(f"{path}: row {line}: duplicate profile for {row[0]}")
         try:
-            profiles[security_id] = SecurityProfile(security_id, market, buy_rating, beta)
+            profiles[row[0]] = SecurityProfile(*row)
         except ValueError as exc:
             raise ValueError(f"{path}: row {line}: {exc}") from None
     return profiles

@@ -16,7 +16,6 @@ its first M ids and their scores, with no per-security object between.
 
 from __future__ import annotations
 
-import datetime as dt
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,7 +45,6 @@ class PortfolioConfig:
 class PortfolioAllocation:
     """Normalized long-only holdings; weights sum to 1, none above cap."""
 
-    as_of: dt.date | None
     holdings: tuple[tuple[str, float], ...]
     scores: tuple[float, ...]
     cap: float
@@ -109,12 +107,7 @@ def _validate_selection(scores: Sequence[float], cap: float) -> None:
         raise NonPositiveScore(f"selected securities must have positive scores, got {bad[:3]}")
 
 
-def construct(
-    ranked: Ranking,
-    top_m: int,
-    cap: float,
-    as_of: dt.date | None = None,
-) -> PortfolioAllocation:
+def construct(ranked: Ranking, top_m: int, cap: float) -> PortfolioAllocation:
     """Build a capped, score-proportional allocation from a ranking's first ``top_m`` entries."""
     if top_m < 1:
         raise ValueError(f"top_m must be >= 1, got {top_m}")
@@ -122,7 +115,6 @@ def construct(
     _validate_selection(scores, cap)
     weights = _cap_and_redistribute(scores, cap)
     return PortfolioAllocation(
-        as_of=as_of,
         holdings=tuple(zip(ranked.security_ids[:top_m], weights)),
         scores=tuple(scores),
         cap=cap,

@@ -50,17 +50,17 @@ Python's ``d ** 2.0``. So a security's figures are those of scoring it
 alone, whatever panel it sits in. ``moving_average`` and ``rate_stats``
 accept a single series or a panel.
 
-The result is a :class:`ScoreTable`: the as-of date, the flavor, the id
-tuple and one float64 array per numeric column of the score-table CSV,
-with a mask of the cells left empty, the exclusion flags and reasons.
-No per-security object is built; iterating a table yields lightweight
+The result is a :class:`ScoreTable`: the as-of date, the id tuple and
+one float64 array per numeric column of the score-table CSV, with a
+mask of the cells left empty, the exclusion flags and reasons. No
+per-security object is built; iterating a table yields lightweight
 :class:`ScoreRow` tuples of Python values. ``write_score_csv`` and
-``read_score_csv`` share the one schema, ``SCORE_CSV_COLUMNS``.
+``read_score_csv`` share the one schema, ``SCORE_CSV_COLUMNS``; the
+reader splits and checks the file with ``datastore.read_csv_columns``.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 from dataclasses import dataclass, field
@@ -77,6 +77,8 @@ from .datastore import (
     csv_fields,
     float_rows_text,
     parse_date,
+    parse_float_column,
+    read_csv_columns,
 )
 from .errors import EmptySeries, InsufficientHistory, SchemaError
 
@@ -178,7 +180,6 @@ class ScoreTable:
     """
 
     date: dt.date | None
-    flavor: str
     security_ids: tuple[str, ...]
     values: np.ndarray = field(repr=False)
     missing: np.ndarray = field(repr=False)
@@ -214,7 +215,6 @@ class ScoreTable:
             return NotImplemented
         return (
             self.date == other.date
-            and self.flavor == other.flavor
             and self.security_ids == other.security_ids
             and np.array_equal(self.values, other.values, equal_nan=True)
             and np.array_equal(self.missing, other.missing)
@@ -230,7 +230,6 @@ class ScoreTable:
         """The table of the given row positions, in that order."""
         return ScoreTable(
             date=self.date,
-            flavor=self.flavor,
             security_ids=tuple([self.security_ids[i] for i in rows.tolist()]),
             values=self.values[:, rows],
             missing=self.missing[:, rows],
@@ -460,7 +459,7 @@ def score_table(dataset: LendingDataset, cfg: ScoreConfig, flavor: str) -> Score
     values = np.full((len(SCORE_VALUE_COLUMNS), len(ids)), np.nan)
     missing = np.ones(values.shape, dtype=bool)
     if not ids:
-        return ScoreTable(None, flavor, ids, values, missing, np.zeros(0, dtype=bool), np.zeros(0, dtype=object))
+        return ScoreTable(None, ids, values, missing, np.zeros(0, dtype=bool), np.zeros(0, dtype=object))
     panel = dict(zip(VARIABLES, dataset.values))
     idx = 0 if flavor == "first_day" else len(dataset.dates) - 1
     as_of = dataset.dates[idx]
@@ -486,7 +485,7 @@ def score_table(dataset: LendingDataset, cfg: ScoreConfig, flavor: str) -> Score
         values[k] = column
         missing[k] = blank.get(name, False)
     values[missing] = np.nan
-    return ScoreTable(as_of, flavor, ids, values, missing, reasons != "", reasons)
+    return ScoreTable(as_of, ids, values, missing, reasons != "", reasons)
 
 
 # --- score-table CSV interchange -------------------------------------------
@@ -526,82 +525,36 @@ def write_score_csv(table: ScoreTable, path: Path | str) -> Path:
     return path
 
 
-def _json_floats(cells: Sequence[str]) -> list[float] | None:
-    """The cells parsed in one orjson call, or None unless every cell is a JSON number that reads as a float.
-
-    A cell JSON reads as an int (``5``, ``-0``) is left to ``float()``,
-    which keeps the sign of ``-0``.
-    """
-    # Imported here, not with the module, as in datastore.
-    import orjson
-
-    try:
-        parsed = orjson.loads("[" + ",".join(cells) + "]")
-    except orjson.JSONDecodeError:
-        return None
-    if len(parsed) != len(cells) or not set(map(type, parsed)) <= {float}:
-        return None
-    return parsed
-
-
-def read_score_csv(path: Path | str, flavor: str = "ma") -> ScoreTable:
+def read_score_csv(path: Path | str) -> ScoreTable:
     """Load a score table written by :func:`write_score_csv`.
 
     Each column is parsed into the table's arrays, and every row must
     carry the same as-of date.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        text = fh.read()
-        if '"' in text or "\r" in text or "\0" in text:
-            # Quoted fields, CR line ends or NULs: the csv module splits the rows.
-            fh.seek(0)
-            records = list(csv.reader(fh))
-        else:
-            records = [line.split(",") if line else [] for line in text.split("\n")]
-    got = tuple(records[0]) if records else ()
-    if got != SCORE_CSV_COLUMNS:
-        raise SchemaError(f"{path}: unexpected score-table header {got}")
-    # Blank lines are skipped; rows are numbered as in the file without them.
-    rows = [row for row in records[1:] if row]
-    for line, row in enumerate(rows, start=2):
-        if len(row) != len(SCORE_CSV_COLUMNS):
-            raise SchemaError(f"{path}: row {line}: wrong number of fields")
-    n = len(rows)
-    cells = dict(zip(SCORE_CSV_COLUMNS, zip(*rows))) if rows else dict.fromkeys(SCORE_CSV_COLUMNS, ())
-
+    cells = dict(zip(SCORE_CSV_COLUMNS, read_csv_columns(path, SCORE_CSV_COLUMNS)))
+    dates = cells["date"]
+    n = len(dates)
     date = None
-    if rows:
-        first = rows[0][0]
-        if len(set(cells["date"])) > 1:
-            line = 2 + next(k for k, d in enumerate(cells["date"]) if d != first)
-            raise SchemaError(f"{path}: row {line}: a score table has one as-of date; {first} came first")
+    if n:
+        if len(set(dates)) > 1:
+            line = 2 + next(k for k, d in enumerate(dates) if d != dates[0])
+            raise SchemaError(f"{path}: row {line}: a score table has one as-of date; {dates[0]} came first")
         try:
-            date = parse_date(first)
+            date = parse_date(dates[0])
         except ValueError as exc:
-            raise ValueError(f"{path}: row 2: bad date {first!r}") from exc
+            raise ValueError(f"{path}: row 2: bad date {dates[0]!r}") from exc
 
     values = np.empty((len(SCORE_VALUE_COLUMNS), n))
     missing = np.zeros(values.shape, dtype=bool)
     for k, name in enumerate(SCORE_VALUE_COLUMNS):
         column = cells[name]
-        parsed = _json_floats(column)
-        if parsed is not None:
-            values[k] = parsed
-            continue
-        # Empty cells, nan/inf or other spellings float() accepts: cell by cell.
-        missing[k] = [not c for c in column]
-        if name in _REQUIRED_COLUMNS and missing[k].any():
-            line = 2 + int(missing[k].argmax())
-            raise SchemaError(f"{path}: row {line}: column {name!r} is empty")
-        try:
-            values[k] = [float(c) if c else math.nan for c in column]
-        except ValueError:
-            for line, raw in enumerate(column, start=2):
-                try:
-                    float(raw or "nan")
-                except ValueError:
-                    raise ValueError(f"{path}: row {line}: column {name!r} is not numeric: {raw!r}") from None
+        if not all(column):
+            missing[k] = [not c for c in column]
+            if name in _REQUIRED_COLUMNS:
+                raise SchemaError(f"{path}: row {2 + int(missing[k].argmax())}: column {name!r} is empty")
+            column = [c or "nan" for c in column]
+        values[k] = parse_float_column(column, name, path)
 
     v = _VALUE_INDEX
     scored = ~missing[v["e_lr"]]
@@ -617,7 +570,6 @@ def read_score_csv(path: Path | str, flavor: str = "ma") -> ScoreTable:
         raise SchemaError(f"{path}: row {line}: column 'excluded' must be true or false, got {raw!r}")
     return ScoreTable(
         date=date,
-        flavor=flavor,
         security_ids=cells["security_id"],
         values=values,
         missing=missing,

@@ -65,13 +65,12 @@ def make_row(security_id: str = "SEC0001", **overrides) -> dict:
     return row
 
 
-def make_table(*rows: dict, flavor: str = "ma") -> ScoreTable:
+def make_table(*rows: dict) -> ScoreTable:
     """A score table dated START holding the given rows, in that order."""
     shape = (len(SCORE_VALUE_COLUMNS), len(rows))
     cells = [row[name] for name in SCORE_VALUE_COLUMNS for row in rows]
     return ScoreTable(
         date=START if rows else None,
-        flavor=flavor,
         security_ids=tuple(row["security_id"] for row in rows),
         values=np.array([np.nan if c is None else c for c in cells], dtype=float).reshape(shape),
         missing=np.array([c is None for c in cells], dtype=bool).reshape(shape),

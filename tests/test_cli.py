@@ -184,27 +184,39 @@ class TestRank:
         assert "SEC0001" not in (out / "ranking.csv").read_text()
         assert "SEC0001,manual_exclusion" in (out / "excluded.csv").read_text()
 
+    def test_undecodable_score_row_names_file_and_row(self, sim_dir, ranked_dir, tmp_path, capsys):
+        scores = tmp_path / "scores_ma.csv"
+        lines = (ranked_dir / "scores_ma.csv").read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b"SEC", b"S\xffC", 1)
+        scores.write_bytes(b"\n".join(lines))
+        assert self.rank_scores_file(sim_dir, ranked_dir, scores, tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"error: {scores}: row 4: not UTF-8\n"
+
+    def test_undecodable_exclude_line_names_file_and_line(self, sim_dir, ranked_dir, tmp_path, capsys):
+        exclude = tmp_path / "exclude.csv"
+        exclude.write_bytes(b"security_id\nSEC0001\nSEC\xff\n")
+        code = self.rank_scores_file(sim_dir, ranked_dir, ranked_dir / "scores_ma.csv", tmp_path / "out",
+                                     "--exclude-file", str(exclude))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {exclude}: row 3: not UTF-8\n"
+
     def rank_scores_file(self, sim_dir, ranked_dir, scores, out, *extra):
         return run(["rank", "--scores", str(scores), "--profiles", str(sim_dir / "profiles.csv"),
                     "--config", str(ranked_dir / "permissive.json"), "--out", str(out), *extra])
 
-    def test_flavor_fallback_is_reported_on_stderr(self, sim_dir, ranked_dir, tmp_path, capsys):
-        scores = tmp_path / "scores.csv"
-        scores.write_bytes((ranked_dir / "scores_ma.csv").read_bytes())
+    def test_score_file_name_does_not_change_the_ranking(self, sim_dir, ranked_dir, tmp_path, capsys):
+        renamed = tmp_path / "scores.csv"
+        renamed.write_bytes((ranked_dir / "scores_ma.csv").read_bytes())
         capsys.readouterr()
-        assert self.rank_scores_file(sim_dir, ranked_dir, scores, tmp_path / "out") == 0
-        captured = capsys.readouterr()
-        assert captured.out.startswith("wrote ")
-        assert all(line.startswith("wrote ") for line in captured.out.splitlines())
-        note, = captured.err.splitlines()
-        assert "'ma'" in note and "--flavor" in note and "scores.csv" in note
-
-    @pytest.mark.parametrize("extra", [(), ("--flavor", "ma")], ids=["from_name", "from_flag"])
-    def test_known_flavor_prints_no_note(self, sim_dir, ranked_dir, tmp_path, capsys, extra):
-        capsys.readouterr()
-        code = self.rank_scores_file(sim_dir, ranked_dir, ranked_dir / "scores_ma.csv", tmp_path, *extra)
-        assert code == 0
+        for scores, out in ((ranked_dir / "scores_ma.csv", tmp_path / "a"), (renamed, tmp_path / "b")):
+            assert self.rank_scores_file(sim_dir, ranked_dir, scores, out) == 0
         assert capsys.readouterr().err == ""
+        for name in ("ranking.csv", "excluded.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        # rank takes no --flavor: a score file is ranked the same whatever its flavor
+        with pytest.raises(SystemExit) as usage:
+            self.rank_scores_file(sim_dir, ranked_dir, renamed, tmp_path / "c", "--flavor", "ma")
+        assert usage.value.code == 2
 
 
 class TestPortfolio:
@@ -295,6 +307,15 @@ class TestPortfolio:
         assert code == 1
         err = capsys.readouterr().err
         assert f"{path}: row 3: column 'score' is not numeric: 'abc'" in err
+        assert not (tmp_path / "allocation.csv").exists()
+
+    def test_undecodable_row_names_the_file_and_row(self, tmp_path, capsys):
+        path = self.write_ranking(tmp_path, [2.0, 3.0])
+        path.write_bytes(path.read_bytes().replace(b"SEC0002", b"SEC\xff002"))
+        code = run(["portfolio", "--ranking", str(path), "--top", "2",
+                    "--cap", "1.0", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: row 3: not UTF-8\n"
         assert not (tmp_path / "allocation.csv").exists()
 
     def test_short_row_names_the_file_and_row(self, tmp_path, capsys):

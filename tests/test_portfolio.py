@@ -125,15 +125,15 @@ class TestConstruct:
 class TestAllocationInvariants:
     def test_sum_enforced(self):
         with pytest.raises(ValueError):
-            PortfolioAllocation(None, (("A", 0.5), ("B", 0.4)), (1.0, 1.0), 1.0)
+            PortfolioAllocation((("A", 0.5), ("B", 0.4)), (1.0, 1.0), 1.0)
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
-            PortfolioAllocation(None, (("A", 0.7), ("B", 0.3)), (1.0, 1.0), 0.5)
+            PortfolioAllocation((("A", 0.7), ("B", 0.3)), (1.0, 1.0), 0.5)
 
     def test_positive_weights_enforced(self):
         with pytest.raises(ValueError):
-            PortfolioAllocation(None, (("A", 1.0), ("B", 0.0)), (1.0, 1.0), 1.0)
+            PortfolioAllocation((("A", 1.0), ("B", 0.0)), (1.0, 1.0), 1.0)
 
     @pytest.mark.parametrize(
         "holdings",
@@ -141,4 +141,4 @@ class TestAllocationInvariants:
     )
     def test_non_finite_weight_rejected(self, holdings):
         with pytest.raises(ValueError):
-            PortfolioAllocation(None, holdings, (1.0,) * len(holdings), 1.0)
+            PortfolioAllocation(holdings, (1.0,) * len(holdings), 1.0)

@@ -187,7 +187,6 @@ class TestScoreAlgebra:
 class TestScoreTable:
     def test_one_row_per_security_in_id_order(self, tiny_dataset):
         table = score_table(tiny_dataset, CFG, "ma")
-        assert table.flavor == "ma"
         assert table.date == tiny_dataset.dates[-1]
         assert [r.security_id for r in table] == ["SEC0001", "SEC0002", "SEC0003"]
         assert all(not r.excluded for r in table)
@@ -302,7 +301,7 @@ class TestScoreCsv:
     def test_round_trip(self, tmp_path, tiny_dataset):
         table = score_table(tiny_dataset, CFG, "ma")
         path = write_score_csv(table, tmp_path / "scores_ma.csv")
-        assert read_score_csv(path, "ma") == table
+        assert read_score_csv(path) == table
 
     def test_round_trip_with_sentinels_and_exclusions(self, tmp_path):
         ds = dataset_from_series(
@@ -313,7 +312,7 @@ class TestScoreCsv:
         table = score_table(ds, CFG, "ma")
         assert next(iter(table)).score_one == math.inf
         path = write_score_csv(table, tmp_path / "scores.csv")
-        back = read_score_csv(path, "ma")
+        back = read_score_csv(path)
         assert back == table
         first, second, third = back
         assert first.score_one == math.inf
@@ -341,7 +340,7 @@ class TestScoreCsv:
             rows = list(csv.reader(fh))[1:]
         assert [r[1] for r in rows] == ['A "quoted", id', "B,1"]
         assert [r[SCORE_CSV_COLUMNS.index("reason")] for r in rows] == [r.reason for r in table]
-        assert read_score_csv(path, "ma") == table
+        assert read_score_csv(path) == table
 
     @pytest.mark.parametrize("column", ["availability", "short_interest", "rate_volatility"])
     def test_scored_row_missing_factor_cell_names_line(self, tmp_path, tiny_dataset, column):
@@ -352,7 +351,7 @@ class TestScoreCsv:
         lines[1] = ",".join(cells)
         path.write_text("\n".join([header] + lines) + "\n")
         with pytest.raises(SchemaError, match=rf"scores_ma\.csv: row 3: .*{column}"):
-            read_score_csv(path, "ma")
+            read_score_csv(path)
 
     @pytest.mark.parametrize(
         "edit, error, message",
@@ -373,7 +372,7 @@ class TestScoreCsv:
         lines[1] = ",".join(cells)
         path.write_text("\n".join([header] + lines) + "\n")
         with pytest.raises(error, match=message):
-            read_score_csv(path, "ma")
+            read_score_csv(path)
 
     @pytest.mark.parametrize("flag", ["maybe", "True", "1", ""], ids=repr)
     def test_excluded_flag_takes_only_true_or_false(self, tmp_path, tiny_dataset, flag):
@@ -385,7 +384,7 @@ class TestScoreCsv:
         lines[1] = ",".join(cells)
         path.write_text("\n".join([header] + lines) + "\n")
         with pytest.raises(SchemaError, match=rf"scores_ma\.csv: row 3: column 'excluded' must be true or false, got {flag!r}"):
-            read_score_csv(path, "ma")
+            read_score_csv(path)
 
     @pytest.mark.parametrize("spelling", ["20210104", "2021-W01-1"])
     def test_as_of_date_takes_only_yyyy_mm_dd(self, tmp_path, tiny_dataset, spelling):
@@ -395,7 +394,7 @@ class TestScoreCsv:
         lines = [spelling + line[line.index(","):] for line in lines]
         path.write_text("\n".join([header] + lines) + "\n")
         with pytest.raises(ValueError, match=f"row 2: bad date {spelling!r}"):
-            read_score_csv(path, "ma")
+            read_score_csv(path)
 
     @pytest.mark.parametrize("spelling", ["-0", "5", "-0.0", "1e400", " 2.5", "1_0", ".5", "+1", "1E5", "NaN", "-inf"])
     def test_cells_read_as_float_reads_them(self, tmp_path, spelling):
@@ -412,13 +411,13 @@ class TestScoreCsv:
         cells[SCORE_CSV_COLUMNS.index("score_four")] = spelling
         lines[1] = ",".join(cells)
         path.write_text("\n".join([header] + lines) + "\n")
-        got = read_score_csv(path, "ma").column("score_four")[1]
+        got = read_score_csv(path).column("score_four")[1]
         assert repr(float(got)) == repr(float(spelling))
 
     def test_header_only_file_reads_as_an_empty_table(self, tmp_path):
         path = tmp_path / "scores_ma.csv"
         path.write_text(",".join(SCORE_CSV_COLUMNS) + "\n")
-        table = read_score_csv(path, "ma")
+        table = read_score_csv(path)
         assert len(table) == 0 and table.date is None
         assert write_score_csv(table, tmp_path / "again.csv").read_bytes() == path.read_bytes()
 

@@ -1,11 +1,12 @@
-"""Properties of the columnar score table: the screen, the ranking and the CSV round trip.
+"""Properties of the columnar score table: the screen, the ranking and the CSV round trips.
 
 The mask-based screen and the lexsort ranking are checked against the
 per-row code they replaced, kept here as oracles: ``first_failure``
 walks the filters in ``FILTER_ORDER`` one row at a time, and
 ``oracle_rank`` sorts row indices by ``(-sign, -score, id)``. Tables are
 drawn with NaN factors, infinite and tied scores, signed zeros, missing
-profiles and empty cells.
+profiles and empty cells. The score table, profiles.csv and ranking.csv
+each read back what their writer wrote.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shortbasket.datastore import SecurityProfile
+from shortbasket.cli import _read_ranking, _write_ranking
+from shortbasket.datastore import VARIABLES, LendingDataset, SecurityProfile, export_csv, load_profiles
 from shortbasket.errors import EmptyAfterFilters
 from shortbasket.scoring import (
     SCORE_SELECTORS,
@@ -34,6 +36,7 @@ from shortbasket.screener import (
     REASON_MANUAL,
     REASON_MISSING_PROFILE,
     FilterConfig,
+    Ranking,
     apply_filters,
     rank,
 )
@@ -72,7 +75,6 @@ def tables(draw, cells=values, blank=st.booleans(), unique_ids: bool = True, max
     reasons = [draw(st.sampled_from(["", "zero_adv", 'a, "quoted"\nreason'])) if x else "" for x in excluded]
     return ScoreTable(
         date=START if n else None,
-        flavor=draw(st.sampled_from(["ma", "first_day", "last_day"])),
         security_ids=tuple(row_ids),
         values=grid,
         missing=missing,
@@ -196,7 +198,7 @@ def test_lexsort_ranking_matches_sorted(table, selector, pct, with_nan):
         # one unrankable score: both must refuse, naming the same row
         values = table.values.copy()
         values[SCORE_VALUE_COLUMNS.index(f"score_{selector}"), len(table) // 2] = math.nan
-        table = ScoreTable(table.date, table.flavor, table.security_ids, values, table.missing.copy(),
+        table = ScoreTable(table.date, table.security_ids, values, table.missing.copy(),
                            table.excluded.copy(), table.reasons.copy())
     try:
         want = oracle_rank(table, selector, pct)
@@ -229,7 +231,7 @@ def test_score_table_survives_the_csv_round_trip(table):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_score_csv(table, Path(tmp) / "scores.csv")
         written = path.read_bytes()
-        back = read_score_csv(path, table.flavor)
+        back = read_score_csv(path)
     # the bytes are those of one csv.writer row and one repr() per cell
     assert written == score_csv_oracle_bytes([row._asdict() for row in table])
     assert back == table
@@ -237,3 +239,37 @@ def test_score_table_survives_the_csv_round_trip(table):
     assert np.array_equal(np.signbit(back.values), np.signbit(table.values) & ~np.isnan(table.values))
     assert np.array_equal(back.missing, table.missing)
     assert [repr(r) for r in back] == [repr(r) for r in table]
+
+
+# Text that often holds a comma, a quote or a non-ASCII letter, so that the
+# readers both split plain text and run csv on quoted fields.
+csv_texts = st.text(
+    st.one_of(st.sampled_from(',"é'), st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n")),
+    max_size=6,
+)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(csv_texts, csv_texts, st.floats(1.0, 5.0), st.floats(allow_nan=False, allow_infinity=False)),
+                max_size=6, unique_by=lambda row: row[0]))
+def test_profiles_survive_the_csv_round_trip(rows):
+    profiles = tuple(SecurityProfile(*row) for row in sorted(rows))
+    ids = tuple(p.security_id for p in profiles)
+    dataset = LendingDataset((), ids, np.empty((len(VARIABLES), len(ids), 0)), profiles)
+    with tempfile.TemporaryDirectory() as tmp:
+        _, path = export_csv(dataset, tmp)
+        back = load_profiles(path)
+    # repr tells -0.0 from 0.0
+    assert repr(list(back.values())) == repr(list(profiles))
+
+
+@SETTINGS
+@given(st.lists(st.tuples(csv_texts, st.one_of(st.sampled_from(EDGES), st.floats()).filter(lambda s: s == s))))
+def test_ranking_survives_the_csv_round_trip(entries):
+    scores = tuple(score for _, score in entries)  # a ranking holds no NaN
+    ranking = Ranking(tuple(sid for sid, _ in entries), scores, tuple((s > 0) - (s < 0) for s in scores))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ranking.csv"
+        _write_ranking(path, ranking)
+        back = _read_ranking(path)
+    assert repr(back) == repr(ranking)
