@@ -213,10 +213,20 @@ class TestRank:
         assert capsys.readouterr().err == ""
         for name in ("ranking.csv", "excluded.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-        # rank takes no --flavor: a score file is ranked the same whatever its flavor
+
+    @pytest.mark.parametrize("extra", [(), ("--flavor", "ma")], ids=["from_name", "from_flag"])
+    def test_known_flavor_prints_no_note(self, sim_dir, ranked_dir, tmp_path, capsys, extra):
+        # rank reads no flavor: the file name prints no note, and --flavor is a usage error
+        capsys.readouterr()
+        scores = ranked_dir / "scores_ma.csv"
+        if not extra:
+            assert self.rank_scores_file(sim_dir, ranked_dir, scores, tmp_path) == 0
+            assert capsys.readouterr().err == ""
+            return
         with pytest.raises(SystemExit) as usage:
-            self.rank_scores_file(sim_dir, ranked_dir, renamed, tmp_path / "c", "--flavor", "ma")
+            self.rank_scores_file(sim_dir, ranked_dir, scores, tmp_path, *extra)
         assert usage.value.code == 2
+        assert "unrecognized arguments: --flavor ma" in capsys.readouterr().err
 
 
 class TestPortfolio:
