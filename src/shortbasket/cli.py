@@ -18,17 +18,18 @@ are deterministic given the config and master seed. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import portfolio as portfolio_mod
 from . import scoring, screener
 from .config import RunConfig, load_run_config, resolved_config_json
 from .datastore import (
     atomic_write_text,
+    csv_text,
     export_csv,
     ingest_csv,
     load_profiles,
@@ -42,16 +43,11 @@ from .simulate import simulate_universe
 
 CONFIG_ECHO_FILENAME = "config_resolved.json"
 RANKING_COLUMNS = ("rank", "security_id", "score")
+EXCLUDED_COLUMNS = ("security_id", "reason")
+ALLOCATION_COLUMNS = ("security_id", "weight")
+VOL_PATH_COLUMNS = ("step", "path_a", "path_b")
 
 _FLAVOR_BY_FLAG = {"ma": "ma", "first-day": "first_day", "last-day": "last_day"}
-
-
-def _write_rows(path: Path, header: tuple[str, ...], rows: list[list[str]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
 
 
 def _apply_sim_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -130,10 +126,9 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     _write_ranking(out_dir / "ranking.csv", ranked)
-    exclusion_rows = [[e.security_id, e.reason] for e in excluded]
-    exclusion_rows += [[sid, "drop_bottom_pct"] for sid in dropped]
-    exclusion_rows.sort()
-    _write_rows(out_dir / "excluded.csv", ("security_id", "reason"), exclusion_rows)
+    exclusions = sorted([*excluded, *((sid, "drop_bottom_pct") for sid in dropped)])
+    columns = [[sid for sid, _ in exclusions], [reason for _, reason in exclusions]]
+    atomic_write_text(out_dir / "excluded.csv", csv_text(EXCLUDED_COLUMNS, columns))
     print(
         f"wrote {out_dir / 'ranking.csv'} ({len(ranked)} ranked, "
         f"{len(excluded)} filtered, {len(dropped)} dropped from bottom)"
@@ -142,7 +137,9 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _write_ranking(path: Path, ranked: screener.Ranking) -> None:
-    _write_rows(path, RANKING_COLUMNS, [[str(r.rank), r.security_id, repr(r.score)] for r in ranked])
+    ranks = [str(rank) for rank in range(1, len(ranked) + 1)]
+    columns = [ranks, ranked.security_ids, np.array(ranked.scores, dtype=float)]
+    atomic_write_text(path, csv_text(RANKING_COLUMNS, columns))
 
 
 def _read_ranking(path: Path) -> screener.Ranking:
@@ -159,11 +156,9 @@ def cmd_portfolio(args: argparse.Namespace) -> int:
     ranked = _read_ranking(Path(args.ranking))
     allocation = portfolio_mod.construct(ranked, top_m, cap)
     out_dir = Path(args.out)
-    _write_rows(
-        out_dir / "allocation.csv",
-        ("security_id", "weight"),
-        [[sid, repr(weight)] for sid, weight in allocation.holdings],
-    )
+    ids = [sid for sid, _ in allocation.holdings]
+    weights = np.array([weight for _, weight in allocation.holdings], dtype=float)
+    atomic_write_text(out_dir / "allocation.csv", csv_text(ALLOCATION_COLUMNS, [ids, weights]))
     print(f"wrote {out_dir / 'allocation.csv'} ({allocation.size} holdings, cap {cap})")
     return 0
 
@@ -175,11 +170,9 @@ def cmd_diagnose_vol(args: argparse.Namespace) -> int:
     result = make_scenario(args.kind, target, args.length, args.seed)
     out_dir = Path(args.out)
     paths_file = out_dir / f"vol_paths_kind{args.kind}.csv"
-    _write_rows(
-        paths_file,
-        ("step", "path_a", "path_b"),
-        [[str(i), repr(a), repr(b)] for i, (a, b) in enumerate(zip(result.path_a, result.path_b))],
-    )
+    steps = [str(step) for step in range(len(result.path_a))]
+    paths = np.array([result.path_a, result.path_b], dtype=float)
+    atomic_write_text(paths_file, csv_text(VOL_PATH_COLUMNS, [steps, *paths]))
     report_file = out_dir / f"vol_report_kind{args.kind}.txt"
     atomic_write_text(report_file, result.report_text())
     print(f"wrote {paths_file}")

@@ -18,13 +18,12 @@ profiles.csv::
 Dates are written YYYY-MM-DD, the only spelling ingest accepts, and
 decimals use ``.``. A float is written as Python's
 shortest round-trip ``repr()`` text, so values round-trip exactly and
-identical datasets always produce identical bytes. observations.csv
-gets that text in bulk: orjson formats each security's block of values
-in one call, and rows holding a value outside the range where its text
-equals ``repr()`` are formatted by ``repr()``; the score-table writer
-shares this codec (``float_rows_text``). Export orders rows by
-(security_id, date) and streams them to the file one security at a
-time.
+identical datasets always produce identical bytes. That text is made
+in bulk by ``float_rows_text``: orjson formats a block of values in one
+call, and rows holding a value outside the range where its text equals
+``repr()`` are formatted by ``repr()``. observations.csv gets one call
+per security's block: export orders rows by (security_id, date) and
+streams them to the file one security at a time.
 
 Ingest reads observations.csv as bytes, in chunks of whole lines. In
 each chunk one numpy pass finds every comma and line feed, the dates
@@ -42,13 +41,15 @@ included, provided each security's dates are strictly increasing and
 every security has the same dates. Non-finite values (``nan``, ``inf``)
 are rejected with their file, row and column.
 
-The small files, profiles.csv, the score table and ranking.csv, are
-read whole by one reader, ``read_csv_columns``, under the same rules:
-UTF-8, blank lines skipped, quoted fields and CRLF line ends read as
-``csv`` reads them, and a header or field count that does not match, or
-bytes that are not UTF-8, rejected with the file and row. It returns
-each column as a tuple of cells; ``parse_float_column`` parses a column
-of numbers in one orjson call, or cell by cell where that call fails.
+Every other CSV file is small, and one writer, ``csv_text``, writes it
+whole: text as ``csv.writer`` writes it, quoted for a comma, a quote or
+a line break, and floats by ``float_rows_text``. profiles.csv, the score
+table and ranking.csv are read whole by ``read_csv_columns``: UTF-8,
+blank lines skipped, quoted fields and CRLF line ends read as ``csv``
+reads them, and a header or field count that does not match, or bytes
+that are not UTF-8, rejected with the file and row. It returns each
+column as a tuple of cells; ``parse_float_column`` parses a column of
+numbers in one orjson call, or cell by cell where that call fails.
 """
 
 from __future__ import annotations
@@ -122,8 +123,8 @@ class SecurityProfile:
     beta: float
 
     def __post_init__(self) -> None:
-        # csv.writer quotes "\n" but not "\r", and ingest reads either as
-        # the end of a row: no id may hold one.
+        # A line break would split the id's row for any reader that reads
+        # the file line by line: no id may hold one.
         if "\r" in self.security_id or "\n" in self.security_id:
             raise ValueError(f"security_id must not contain a line break, got {self.security_id!r}")
         if not 1.0 <= self.buy_rating <= 5.0:
@@ -237,12 +238,6 @@ class SecuritySeries:
         return self.dataset.values[_VARIABLE_INDEX[name], self.index]
 
 
-def _fmt(value: float) -> str:
-    # repr() is the shortest exact representation: deterministic bytes
-    # and lossless float round-trips.
-    return repr(float(value))
-
-
 def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
     """Write the full content or nothing: a temp file of its own, then an atomic rename.
 
@@ -268,16 +263,17 @@ def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
 def _csv_field(text: str) -> str:
     """``text`` as csv.writer writes it as a field of a row, quoted only if it must be."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, "x"])
-    return buf.getvalue()[: -len(",x\n")]
+    # The "\r\n" terminator makes csv.writer quote a field holding either line break.
+    csv.writer(buf, lineterminator="\r\n").writerow([text, "x"])
+    return buf.getvalue()[: -len(",x\r\n")]
 
 
 def csv_fields(texts: Sequence[str]) -> list[str]:
     """Each text as csv.writer writes it as one field of a row of several."""
     distinct = set(texts)
-    # csv.writer quotes a field only for a delimiter, a quote or a line
-    # break in it, and leaves every other field as it is; csv.writer itself
-    # formats those fields, and any with a NUL.
+    # _csv_field quotes a field only for a delimiter, a quote or a line
+    # break in it, and leaves every other field as it is; it formats those
+    # fields, and any with a NUL.
     if not any(c in "".join(distinct) for c in ',"\r\n\0'):
         return list(texts)
     quoted = {text: _csv_field(text) for text in distinct}
@@ -318,6 +314,31 @@ def float_rows_text(block: np.ndarray, blank: np.ndarray | None = None) -> list[
     return texts
 
 
+def csv_text(
+    header: Sequence[str], columns: Sequence[Sequence[str] | np.ndarray], blank: np.ndarray | None = None
+) -> str:
+    """The text of a small CSV file: the header line, then one line per row.
+
+    A column is a sequence of str, each written as csv.writer writes a
+    field (:func:`csv_fields`), or a 1-D float array, each value written
+    as ``repr()`` writes it (:func:`float_rows_text`); adjacent float
+    columns share one call. ``blank`` holds one row per float column, in
+    order, marking the cells to write empty. With no rows, the text is
+    the header line alone.
+    """
+    parts: list[list[str]] = []
+    done = 0
+    for floats, group in itertools.groupby(columns, key=lambda column: isinstance(column, np.ndarray)):
+        group = list(group)
+        if floats:
+            mask = None if blank is None else blank[done : done + len(group)].T
+            parts.append(float_rows_text(np.stack(group, axis=1), mask))
+            done += len(group)
+        else:
+            parts += map(csv_fields, group)
+    return "\n".join([",".join(header), *map(",".join, zip(*parts)), ""])
+
+
 def _observation_text(dataset: LendingDataset) -> Iterator[str]:
     """observations.csv as chunks: the header, then the rows of one security at a time."""
     yield ",".join(OBSERVATION_COLUMNS) + "\n"
@@ -335,16 +356,11 @@ def export_csv(dataset: LendingDataset, out_dir: Path | str) -> tuple[Path, Path
     so equal datasets serialize to identical bytes.
     """
     out_dir = Path(out_dir)
-    prof_buf = io.StringIO()
-    writer = csv.writer(prof_buf, lineterminator="\n")
-    writer.writerow(PROFILE_COLUMNS)
-    for prof in dataset.profiles:
-        writer.writerow([prof.security_id, prof.market, _fmt(prof.buy_rating), _fmt(prof.beta)])
-
+    ids, markets, *numbers = [[getattr(p, name) for p in dataset.profiles] for name in PROFILE_COLUMNS]
     obs_path = out_dir / OBSERVATIONS_FILENAME
     prof_path = out_dir / PROFILES_FILENAME
     atomic_write_text(obs_path, _observation_text(dataset))
-    atomic_write_text(prof_path, prof_buf.getvalue())
+    atomic_write_text(prof_path, csv_text(PROFILE_COLUMNS, [ids, markets, *np.array(numbers, dtype=float)]))
     return obs_path, prof_path
 
 

@@ -55,8 +55,10 @@ one float64 array per numeric column of the score-table CSV, with a
 mask of the cells left empty, the exclusion flags and reasons. No
 per-security object is built; iterating a table yields lightweight
 :class:`ScoreRow` tuples of Python values. ``write_score_csv`` and
-``read_score_csv`` share the one schema, ``SCORE_CSV_COLUMNS``; the
-reader splits and checks the file with ``datastore.read_csv_columns``.
+``read_score_csv`` share the one schema, ``SCORE_CSV_COLUMNS``: the
+writer formats the file with ``datastore.csv_text``, the one writer of
+the small CSV files, and the reader splits and checks it with
+``datastore.read_csv_columns``.
 """
 
 from __future__ import annotations
@@ -74,8 +76,7 @@ from .datastore import (
     LendingDataset,
     SecuritySeries,
     atomic_write_text,
-    csv_fields,
-    float_rows_text,
+    csv_text,
     parse_date,
     parse_float_column,
     read_csv_columns,
@@ -495,33 +496,18 @@ def score_table(dataset: LendingDataset, cfg: ScoreConfig, flavor: str) -> Score
 # cell is a value the row was not scored far enough to have, while "nan"
 # is a computed NaN.
 
-# The numeric columns before and after the excluded/reason pair.
-_LEAD = SCORE_CSV_COLUMNS.index("excluded") - 2
-
-
-def _score_text(table: ScoreTable) -> Iterator[str]:
-    yield ",".join(SCORE_CSV_COLUMNS) + "\n"
-    if not len(table):
-        return
-    block, blank = table.values.T, table.missing.T
-    lead = float_rows_text(block[:, :_LEAD], blank[:, :_LEAD])
-    trail = float_rows_text(block[:, _LEAD:], blank[:, _LEAD:])
-    date = table.date.isoformat()
-    flags = np.where(table.excluded, "true", "false").tolist()
-    yield "".join(
-        [
-            f"{date},{security_id},{head},{flag},{reason},{tail}\n"
-            for security_id, head, flag, reason, tail in zip(
-                csv_fields(table.security_ids), lead, flags, csv_fields(table.reasons.tolist()), trail
-            )
-        ]
-    )
-
-
 def write_score_csv(table: ScoreTable, path: Path | str) -> Path:
     """Serialize a score table deterministically."""
     path = Path(path)
-    atomic_write_text(path, _score_text(table))
+    columns = dict(zip(SCORE_VALUE_COLUMNS, table.values))
+    columns.update(
+        date=[str(table.date)] * len(table),
+        security_id=table.security_ids,
+        excluded=np.where(table.excluded, "true", "false").tolist(),
+        reason=table.reasons.tolist(),
+    )
+    cells = [columns[name] for name in SCORE_CSV_COLUMNS]
+    atomic_write_text(path, csv_text(SCORE_CSV_COLUMNS, cells, table.missing))
     return path
 
 

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from shortbasket.cli import main
+from shortbasket.datastore import read_csv_columns
 
 
 def run(argv: list[str]) -> int:
@@ -199,6 +200,14 @@ class TestRank:
                                      "--exclude-file", str(exclude))
         assert code == 1
         assert capsys.readouterr().err == f"error: {exclude}: row 3: not UTF-8\n"
+
+    def test_id_holding_a_carriage_return_stays_one_excluded_row(self, sim_dir, ranked_dir, tmp_path):
+        # the id has no profile, so it lands in excluded.csv, which must quote its CR
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes((ranked_dir / "scores_ma.csv").read_bytes().replace(b",SEC0001,", b',"SEC0001\rX",', 1))
+        assert self.rank_scores_file(sim_dir, ranked_dir, scores, tmp_path / "out") == 0
+        ids, reasons = read_csv_columns(tmp_path / "out" / "excluded.csv", ("security_id", "reason"))
+        assert ("SEC0001\rX", "missing_profile") in zip(ids, reasons)
 
     def rank_scores_file(self, sim_dir, ranked_dir, scores, out, *extra):
         return run(["rank", "--scores", str(scores), "--profiles", str(sim_dir / "profiles.csv"),

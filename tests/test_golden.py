@@ -24,6 +24,10 @@ GOLDEN_SHA256 = {
     "runs/allocation.csv": "b883c717f0cb9be55d92366e34c87ad73c96488a93a67c422df4bba9ada66053",
     "runs/vol_paths_kind1.csv": "9364ce3a654fe3d912413de43e28305212bacea7944c125a3fb0ce32ab9f01a5",
     "runs/vol_report_kind1.txt": "022b8e92ad36c8210d8c79b26403ef93d95cbb3a293df5263e401100fcc9b0b7",
+    "runs/vol_paths_kind2.csv": "c2a479a105cef567f733738c1d1d76b31944e03bb02669b877625cb8a27073ac",
+    "runs/vol_report_kind2.txt": "208bb45d5f901c982c0c05cd93c049e9ed695b258c599b2c7b4d2c71133698e7",
+    "runs/vol_paths_kind3.csv": "72af2f99932cd88df9febf4ccf910717c41c20ad23f3a17769a2285180ccdcbe",
+    "runs/vol_report_kind3.txt": "6d94e244cd3946d08180f73d689d1cdeac0a4e0aedb69b847dbb86f69f413c26",
 }
 
 
@@ -36,6 +40,8 @@ def test_seed_42_pipeline_bytes(tmp_path, capsys):
         ["rank", "--scores", runs / "scores_ma.csv", "--profiles", data / "profiles.csv", "--out", runs],
         ["portfolio", "--ranking", runs / "ranking.csv", "--top", "5", "--cap", "0.25", "--out", runs],
         ["diagnose-vol", "--kind", "1", "--out", runs],
+        ["diagnose-vol", "--kind", "2", "--out", runs],
+        ["diagnose-vol", "--kind", "3", "--out", runs],
     ]
     for argv in steps:
         assert main([str(a) for a in argv]) == 0, capsys.readouterr().err

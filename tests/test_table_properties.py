@@ -6,7 +6,8 @@ walks the filters in ``FILTER_ORDER`` one row at a time, and
 ``oracle_rank`` sorts row indices by ``(-sign, -score, id)``. Tables are
 drawn with NaN factors, infinite and tied scores, signed zeros, missing
 profiles and empty cells. The score table, profiles.csv and ranking.csv
-each read back what their writer wrote.
+each read back what their writer wrote, and every small CSV file that
+``csv_text`` writes gives each cell back through ``read_csv_columns``.
 """
 
 from __future__ import annotations
@@ -21,10 +22,29 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shortbasket.cli import _read_ranking, _write_ranking
-from shortbasket.datastore import VARIABLES, LendingDataset, SecurityProfile, export_csv, load_profiles
+from shortbasket.cli import (
+    ALLOCATION_COLUMNS,
+    EXCLUDED_COLUMNS,
+    RANKING_COLUMNS,
+    VOL_PATH_COLUMNS,
+    _read_ranking,
+    _write_ranking,
+)
+from shortbasket.datastore import (
+    PROFILE_COLUMNS,
+    VARIABLES,
+    LendingDataset,
+    SecurityProfile,
+    atomic_write_text,
+    csv_text,
+    export_csv,
+    load_profiles,
+    parse_float_column,
+    read_csv_columns,
+)
 from shortbasket.errors import EmptyAfterFilters
 from shortbasket.scoring import (
+    SCORE_CSV_COLUMNS,
     SCORE_SELECTORS,
     SCORE_VALUE_COLUMNS,
     ScoreTable,
@@ -273,3 +293,56 @@ def test_ranking_survives_the_csv_round_trip(entries):
         _write_ranking(path, ranking)
         back = _read_ranking(path)
     assert repr(back) == repr(ranking)
+
+
+# The header of each small CSV file and its float columns; the others,
+# "rank" and "step" among them, are written as text.
+SMALL_FILES = [
+    (PROFILE_COLUMNS, ("buy_rating", "beta")),
+    (SCORE_CSV_COLUMNS, SCORE_VALUE_COLUMNS),
+    (RANKING_COLUMNS, ("score",)),
+    (EXCLUDED_COLUMNS, ()),
+    (ALLOCATION_COLUMNS, ("weight",)),
+    (VOL_PATH_COLUMNS, ("path_a", "path_b")),
+]
+
+# Any text but NUL, which the csv module of Python 3.10 rejects, often
+# with a comma, a quote, a line break or a non-ASCII letter.
+cell_texts = st.text(
+    st.one_of(st.sampled_from(',"\r\né'), st.characters(blacklist_categories=("Cs",), blacklist_characters="\0")),
+    max_size=6,
+)
+
+
+@st.composite
+def small_files(draw) -> tuple[tuple[str, ...], list, np.ndarray]:
+    """``(header, columns, blank)`` of one small CSV file, as ``csv_text`` takes them."""
+    header, floats = draw(st.sampled_from(SMALL_FILES))
+    n = draw(st.integers(0, 6))
+    columns, blank = [], []
+    for name in header:
+        if name in floats:
+            columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=float))
+            blank.append(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        else:
+            columns.append(draw(st.lists(cell_texts, min_size=n, max_size=n)))
+    return header, columns, np.array(blank, dtype=bool).reshape(len(blank), n)
+
+
+@SETTINGS
+@given(small_files())
+def test_every_small_csv_file_reads_back_each_cell(file):
+    header, columns, blank = file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "small.csv"
+        atomic_write_text(path, csv_text(header, columns, blank))
+        cells = read_csv_columns(path, header)
+    masks = iter(blank)
+    for name, column, got in zip(header, columns, cells):
+        if isinstance(column, np.ndarray):
+            empty = next(masks)
+            assert [not cell for cell in got] == empty.tolist(), name
+            # repr tells -0.0 from 0.0
+            assert repr(parse_float_column([c for c in got if c], name, path)) == repr(column[~empty].tolist())
+        else:
+            assert got == tuple(column), name
